@@ -132,10 +132,7 @@ class ArrowPresentation:
 
     def to_text(self) -> str:
         """One-line form, e.g. ``(a+ b-)(a+)(b+)``; empty presentation -> ``''``."""
-        return "".join(
-            "(" + " ".join(f"{lab}{'+' if s > 0 else '-'}" for lab, s in c) + ")"
-            for c in self.circles
-        )
+        return _circles_text(self.circles)
 
     @classmethod
     def from_text(cls, text: str) -> "ArrowPresentation":
@@ -159,6 +156,12 @@ class ArrowPresentation:
 # ---------------------------------------------------------------------------
 # text I/O
 # ---------------------------------------------------------------------------
+
+
+def _circles_text(circles: tuple[Circle, ...]) -> str:
+    return "".join(
+        "(" + " ".join(f"{lab}{'+' if s > 0 else '-'}" for lab, s in c) + ")" for c in circles
+    )
 
 
 def _parse_tokens(tokens: list[str], lineno: int) -> Circle:
@@ -354,6 +357,10 @@ def trace_boundaries(g: ArrowPresentation) -> tuple[BoundaryComponent, ...]:
 # ---------------------------------------------------------------------------
 
 
+#: Largest vertex count :meth:`UnderlyingGraph.canonical_key` accepts.
+MAX_KEY_VERTICES = 8
+
+
 @dataclass(frozen=True)
 class UnderlyingGraph:
     """The abstract multigraph under a presentation: circles become vertices,
@@ -428,8 +435,8 @@ class UnderlyingGraph:
         """
         from itertools import permutations
 
-        if self.n_vertices > 8:
-            raise ValueError("canonical_key supports at most 8 vertices")
+        if self.n_vertices > MAX_KEY_VERTICES:
+            raise ValueError(f"canonical_key supports at most {MAX_KEY_VERTICES} vertices")
         pairs = [(u, w) for _, u, w in self.edges]
         best = None
         for perm in permutations(range(self.n_vertices)):
@@ -482,6 +489,13 @@ def euler_genus(g: ArrowPresentation) -> int:
 # flipping both arrows of an edge (re-orienting the edge disc; it flips both
 # of that label's signs).  The canonical form is the minimum encoding over
 # all those choices.
+#
+# Edge flips cost no search: an arrow encodes as (label index, bit), labels
+# numbered by first occurrence, with bit 0 on a first occurrence and, on a
+# second, bit 0 exactly when its sign agrees with the first's.  No flip
+# changes that, and for a fixed circle order, rotation and reversal it is the
+# minimum over all flips of the plain encoding (bit 0 for +): each first
+# occurrence precedes its second, so the minimum makes it +.
 
 
 def _circle_variants(circle: Circle) -> tuple[Circle, ...]:
@@ -495,16 +509,18 @@ def _circle_variants(circle: Circle) -> tuple[Circle, ...]:
     return tuple(sorted(variants))
 
 
-def _encode_circle(variant: Circle, mapping: dict[str, int]) -> tuple[tuple, dict[str, int]]:
+#: label -> (index, sign of its first occurrence), for the labels met so far
+_Firsts = dict[str, tuple[int, Sign]]
+
+
+def _encode_circle(variant: Circle, mapping: _Firsts) -> tuple[tuple, _Firsts]:
     m = dict(mapping)
-    nxt = len(m)
     enc = []
     for lab, s in variant:
-        i = m.get(lab)
-        if i is None:
-            m[lab] = i = nxt
-            nxt += 1
-        enc.append((i, 0 if s > 0 else 1))
+        first = m.get(lab)
+        if first is None:
+            first = m[lab] = (len(m), s)
+        enc.append((first[0], 0 if s == first[1] else 1))
     return tuple(enc), m
 
 
@@ -512,7 +528,7 @@ def _base_canonical(circles: tuple[Circle, ...]) -> tuple:
     """Minimal encoding over circle order, rotations, reversals, relabelling."""
     variants = [_circle_variants(c) for c in circles]
 
-    def rec(remaining: frozenset[int], mapping: dict[str, int]) -> tuple:
+    def rec(remaining: frozenset[int], mapping: _Firsts) -> tuple:
         if not remaining:
             return ()
         cands = []
@@ -545,46 +561,42 @@ def _canonical_label(i: int) -> str:
     return out
 
 
-def _render_canonical(encoded: tuple) -> str:
-    return "".join(
-        "(" + " ".join(f"{_canonical_label(i)}{'+' if bit == 0 else '-'}" for i, bit in circ) + ")"
-        for circ in encoded
-    )
-
-
+#: Canonical text of every presentation canonicalised so far.  Each class's
+#: representative is a key too, and all entries of a class share one string.
 _canon_cache: dict[ArrowPresentation, str] = {}
+#: Canonical text -> the class's representative, built once per class.
+_canon_reps: dict[str, ArrowPresentation] = {}
 
 
 def canonicalize(g: ArrowPresentation) -> str:
     """Canonical textual form; equal exactly for equivalent presentations.
 
-    Idempotent: the canonical form re-parses to a presentation with the same
+    Edge flips are absorbed by encoding each label's second occurrence by its
+    sign relative to the first, so no flip is searched over.  Idempotent: the canonical form re-parses to a presentation with the same
     canonical form.
 
     >>> canonicalize(parse_arp("(e+ e-)")) == canonicalize(parse_arp("(f- f+)"))
     True
     """
-    cached = _canon_cache.get(g)
-    if cached is not None:
-        return cached
-    labels = g.labels
-    best = None
-    for mask in range(1 << len(labels)):
-        flip = {labels[i] for i in range(len(labels)) if mask >> i & 1}
+    text = _canon_cache.get(g)
+    if text is None:
         circles = tuple(
-            tuple((lab, -s if lab in flip else s) for lab, s in c) for c in g.circles
+            tuple((_canonical_label(i), -1 if bit else 1) for i, bit in enc)
+            for enc in _base_canonical(g.circles)
         )
-        cand = _base_canonical(circles)
-        if best is None or cand < best:
-            best = cand
-    text = _render_canonical(best if best is not None else ())
-    _canon_cache[g] = text
+        text = _circles_text(circles)
+        rep = _canon_reps.get(text)
+        if rep is None:
+            rep = _canon_reps[text] = ArrowPresentation(circles)
+        text = _canon_cache.setdefault(rep, text)
+        _canon_cache[g] = text
     return text
 
 
 def canonical_presentation(g: ArrowPresentation) -> ArrowPresentation:
-    """The canonical representative of g's equivalence class."""
-    return parse_arp(canonicalize(g))
+    """The canonical representative of g's equivalence class: one shared
+    instance per class, whose ``to_text()`` is :func:`canonicalize` of g."""
+    return _canon_reps[canonicalize(g)]
 
 
 def is_equivalent(g: ArrowPresentation, h: ArrowPresentation) -> bool:

@@ -19,6 +19,7 @@ from enum import Enum
 from functools import lru_cache
 
 from .arrow_core import (
+    MAX_KEY_VERTICES,
     ArpError,
     ArrowPresentation,
     canonical_presentation,
@@ -171,6 +172,11 @@ def _state_key(g: ArrowPresentation, family: MinorFamily):
 
 def _search(g: ArrowPresentation, h: ArrowPresentation, family: MinorFamily, want_witness: bool):
     family = MinorFamily(family)
+    # join-family moves never add a vertex, so the inputs bound every state
+    n = max(g.n_vertices, h.n_vertices)
+    if family is MinorFamily.BIPARTITE_JOIN and n > MAX_KEY_VERTICES:
+        raise ArpError(f"the join family compares underlying graphs, which is supported "
+                       f"for at most {MAX_KEY_VERTICES} vertices; got {n} vertices")
     target = _state_key(h, family)
     start = canonical_presentation(g)
     # Finiteness caps: vertex counts are bounded (splits add one vertex at a

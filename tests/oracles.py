@@ -3,7 +3,8 @@
 These deliberately re-derive everything from the raw circle data along a
 different code path: boundary structure via a networkx multigraph on arrow
 endpoints, and equivalence via explicit enumeration of relabellings, edge
-flips, rotations and reversals.
+flips, rotations and reversals; canonical forms via the edge-flip mask
+loop.
 """
 
 from __future__ import annotations
@@ -123,3 +124,88 @@ def brute_equivalent(g, h) -> bool:
                 if _multiset_key(flipped) == target:
                     return True
     return False
+
+
+# The canonical form as first written: the plain sign encoding (bit 0 for +),
+# minimised over every edge-flip mask, each mask running the full search
+# over circle order, rotations, reversals and relabelling.  Exponential in
+# the edge count; the library's flip-invariant encoding must agree with it
+# byte for byte.
+
+
+def _flip_loop_circle_variants(circle):
+    if not circle:
+        return ((),)
+    variants = set()
+    reversed_flipped = tuple((lab, -s) for lab, s in reversed(circle))
+    for base in (circle, reversed_flipped):
+        for r in range(len(base)):
+            variants.add(base[r:] + base[:r])
+    return tuple(sorted(variants))
+
+
+def _flip_loop_encode_circle(variant, mapping):
+    m = dict(mapping)
+    nxt = len(m)
+    enc = []
+    for lab, s in variant:
+        i = m.get(lab)
+        if i is None:
+            m[lab] = i = nxt
+            nxt += 1
+        enc.append((i, 0 if s > 0 else 1))
+    return tuple(enc), m
+
+
+def _flip_loop_base_canonical(circles):
+    variants = [_flip_loop_circle_variants(c) for c in circles]
+
+    def rec(remaining, mapping):
+        if not remaining:
+            return ()
+        cands = []
+        for ci in remaining:
+            for var in variants[ci]:
+                enc, m = _flip_loop_encode_circle(var, mapping)
+                cands.append((enc, ci, m))
+        best_enc = min(c[0] for c in cands)
+        results = []
+        seen_branch = set()
+        for enc, ci, m in cands:
+            if enc != best_enc:
+                continue
+            sig = (tuple(sorted(m.items())), tuple(sorted(circles[i] for i in remaining if i != ci)))
+            if sig in seen_branch:
+                continue
+            seen_branch.add(sig)
+            results.append((best_enc,) + rec(remaining - {ci}, m))
+        return min(results)
+
+    return rec(frozenset(range(len(circles))), {})
+
+
+def _flip_loop_label(i):
+    out = ""
+    i += 1
+    while i:
+        i, r = divmod(i - 1, 26)
+        out = chr(97 + r) + out
+    return out
+
+
+def flip_loop_canonicalize(g) -> str:
+    """Canonical text of g by the edge-flip mask loop; uncached."""
+    labels = g.labels
+    best = None
+    for mask in range(1 << len(labels)):
+        flip = {labels[i] for i in range(len(labels)) if mask >> i & 1}
+        circles = tuple(
+            tuple((lab, -s if lab in flip else s) for lab, s in c) for c in g.circles
+        )
+        cand = _flip_loop_base_canonical(circles)
+        if best is None or cand < best:
+            best = cand
+    return "".join(
+        "(" + " ".join(f"{_flip_loop_label(i)}{'+' if bit == 0 else '-'}" for i, bit in circ) + ")"
+        for circ in (best if best is not None else ())
+    )

@@ -14,7 +14,7 @@ from ribbonminor import (
     trace_boundaries,
     underlying_graph,
 )
-from oracles import brute_equivalent, nx_boundary_partition, nx_euler_genus
+from oracles import brute_equivalent, flip_loop_canonicalize, nx_boundary_partition, nx_euler_genus
 
 P = parse_arp
 
@@ -187,6 +187,33 @@ def test_canonicalize_idempotent(sweep2):
         c = canonicalize(g)
         assert canonicalize(parse_arp(c)) == c
         assert canonical_presentation(g).to_text() == c
+
+
+def test_canonicalize_matches_flip_loop_oracle_on_raw_words():
+    # Every raw word of at most 3 edges split into at most 4 circles, and
+    # 1-4 isolated circles: the flip-invariant encoding must give the
+    # flip-loop canonical strings byte for byte, and so must the class
+    # representative it builds.
+    from ribbonminor.verify import _compositions, _words
+
+    inputs = [ArrowPresentation([()] * k) for k in range(1, 5)]
+    for e in range(1, 4):
+        for word in _words(e):
+            for parts in _compositions(2 * e, 4):
+                inputs.append(
+                    ArrowPresentation(
+                        [tuple((f"e{word[i][0]}", word[i][1]) for i in part) for part in parts]
+                    )
+                )
+    classes = set()
+    for g in inputs:
+        c = canonicalize(g)
+        assert c == flip_loop_canonicalize(g), g
+        classes.add(c)
+    for c in classes:
+        rep = canonical_presentation(P(c))
+        assert rep.to_text() == c
+        assert flip_loop_canonicalize(rep) == c
 
 
 def test_is_equivalent_matches_brute_oracle(sweep2):

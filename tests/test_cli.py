@@ -1,4 +1,4 @@
-from ribbonminor import is_equivalent, parse_arp
+from ribbonminor import canonicalize, is_equivalent, parse_arp
 from ribbonminor.cli import main
 
 
@@ -137,3 +137,23 @@ def test_stdin_input(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO("e+ e+\n"))
     assert main(["info"]) == 0
     assert "V=1 E=1 F=2" in capsys.readouterr().out
+
+
+def test_info_sixteen_edge_single_circle(tmp_path, capsys):
+    text = " ".join(f"e{i}+" for i in range(16)) + " " + " ".join(f"e{i}-" for i in range(16))
+    path = _write(tmp_path, "g.arp", text + "\n")
+    assert main(["info", path]) == 0
+    out = capsys.readouterr().out
+    assert "V=1 E=16" in out
+    canon = out.split("canonical: ", 1)[1].strip()
+    assert canonicalize(parse_arp(canon)) == canon
+
+
+def test_minor_join_family_vertex_limit(tmp_path, capsys):
+    path9 = "\n".join(["e0+"] + [f"e{i}+ e{i + 1}+" for i in range(7)] + ["e7+"]) + "\n"
+    g = _write(tmp_path, "p9.arp", path9)
+    h = _write(tmp_path, "p2.arp", "e+\ne+\n")
+    assert main(["minor", g, "--target", h, "--family", "join"]) == 2
+    err = capsys.readouterr().err
+    assert "join family" in err and "at most 8 vertices" in err and "got 9 vertices" in err
+    assert "canonical_key" not in err

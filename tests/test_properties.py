@@ -24,6 +24,7 @@ from ribbonminor import (
     trace_boundaries,
 )
 from ribbonminor.arrow_core import EdgeLineSegment
+from oracles import flip_loop_canonicalize
 
 
 @st.composite
@@ -69,15 +70,31 @@ def _random_equivalence_move(g: ArrowPresentation, rng: random.Random) -> ArrowP
     return ArrowPresentation(circles)
 
 
-@settings(max_examples=60, deadline=None)
-@given(presentations(), st.integers(0, 2**32 - 1))
-def test_canonical_form_invariant_under_equivalence_moves(g, seed):
+def _assert_canonical_form_invariant(g: ArrowPresentation, seed: int) -> None:
     rng = random.Random(seed)
     h = g
     for _ in range(6):
         h = _random_equivalence_move(h, rng)
     assert canonicalize(h) == canonicalize(g)
     assert is_equivalent(g, h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(presentations(), st.integers(0, 2**32 - 1))
+def test_canonical_form_invariant_under_equivalence_moves(g, seed):
+    _assert_canonical_form_invariant(g, seed)
+
+
+@settings(max_examples=25, deadline=None)
+@given(presentations(max_edges=10, max_circles=4), st.integers(0, 2**32 - 1))
+def test_canonical_form_invariant_under_equivalence_moves_up_to_10_edges(g, seed):
+    _assert_canonical_form_invariant(g, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(presentations(max_edges=5, max_circles=4))
+def test_canonical_form_matches_flip_loop_oracle(g):
+    assert canonicalize(g) == flip_loop_canonicalize(g)
 
 
 @settings(max_examples=60, deadline=None)
