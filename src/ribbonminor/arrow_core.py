@@ -524,19 +524,31 @@ def _encode_circle(variant: Circle, mapping: _Firsts) -> tuple[tuple, _Firsts]:
     return tuple(enc), m
 
 
-def _base_canonical(circles: tuple[Circle, ...]) -> tuple:
-    """Minimal encoding over circle order, rotations, reversals, relabelling."""
+def _base_canonical(circles: tuple[Circle, ...], bound: tuple | None = None) -> tuple | None:
+    """Minimal encoding over circle order, rotations, reversals, relabelling.
+
+    With ``bound``, an encoding of the same circles, the search returns None
+    as soon as a circle encodes below the bound's circle at its level, and
+    does not descend into a branch that is already above it.  The result is
+    then ``bound`` exactly when no encoding is smaller.
+    """
     variants = [_circle_variants(c) for c in circles]
 
-    def rec(remaining: frozenset[int], mapping: _Firsts) -> tuple:
+    def rec(remaining: frozenset[int], mapping: _Firsts) -> tuple | None:
         if not remaining:
             return ()
+        level = None if bound is None else bound[len(circles) - len(remaining)]
         cands = []
         for ci in remaining:
             for var in variants[ci]:
                 enc, m = _encode_circle(var, mapping)
+                if level is not None and enc < level:
+                    return None
                 cands.append((enc, ci, m))
         best_enc = min(c[0] for c in cands)
+        if level is not None and best_enc != level:
+            # every encoding in this branch is above the bound
+            return (best_enc,)
         results = []
         seen_branch = set()
         for enc, ci, m in cands:
@@ -546,10 +558,23 @@ def _base_canonical(circles: tuple[Circle, ...]) -> tuple:
             if sig in seen_branch:
                 continue
             seen_branch.add(sig)
-            results.append((best_enc,) + rec(remaining - {ci}, m))
+            rest = rec(remaining - {ci}, m)
+            if rest is None:
+                return None
+            results.append((best_enc,) + rest)
         return min(results)
 
     return rec(frozenset(range(len(circles))), {})
+
+
+def _is_canonical(circles: tuple[Circle, ...]) -> bool:
+    """Whether the circles, read as they stand, are their class's minimal
+    encoding; decided by the search bounded by their own encoding."""
+    own, mapping = [], {}
+    for circle in circles:
+        enc, mapping = _encode_circle(circle, mapping)
+        own.append(enc)
+    return _base_canonical(circles, tuple(own)) == tuple(own)
 
 
 def _canonical_label(i: int) -> str:
@@ -572,8 +597,9 @@ def canonicalize(g: ArrowPresentation) -> str:
     """Canonical textual form; equal exactly for equivalent presentations.
 
     Edge flips are absorbed by encoding each label's second occurrence by its
-    sign relative to the first, so no flip is searched over.  Idempotent: the canonical form re-parses to a presentation with the same
-    canonical form.
+    sign relative to the first, so no flip is searched over.  Idempotent:
+    the canonical form re-parses to a presentation with the same canonical
+    form.
 
     >>> canonicalize(parse_arp("(e+ e-)")) == canonicalize(parse_arp("(f- f+)"))
     True

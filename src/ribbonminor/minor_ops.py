@@ -424,13 +424,13 @@ class MinorMove:
     params: tuple
 
     _APPLY = {
-        "contract": lambda g, e: contract_edge(g, e),
-        "delete": lambda g, e: delete_edge(g, e),
-        "delete-component": lambda g, k: delete_component(g, k),
-        "delete-vertex": lambda g, c: delete_vertex(g, c),
-        "split-vertex": lambda g, c, p, q: split_vertex(g, c, p, q),
-        "split-face": lambda g, b, p, q: split_face(g, b, p, q),
-        "join": lambda g, c1, c2: join_vertices(g, c1, c2),
+        "contract": contract_edge,
+        "delete": delete_edge,
+        "delete-component": delete_component,
+        "delete-vertex": delete_vertex,
+        "split-vertex": split_vertex,
+        "split-face": split_face,
+        "join": join_vertices,
     }
 
     def apply(self, g: ArrowPresentation) -> ArrowPresentation:

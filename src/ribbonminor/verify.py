@@ -16,6 +16,7 @@ from functools import lru_cache
 from .arrow_core import (
     ArpError,
     ArrowPresentation,
+    _is_canonical,
     canonical_presentation,
     canonicalize,
     euler_genus,
@@ -55,7 +56,7 @@ _MAX_SUPPORTED_EDGES = 4
 @dataclass(frozen=True)
 class EnumerationSpec:
     """Bounds for exhaustive enumeration, one representative per equivalence
-    class.  Four edges are supported but slow; see the README for budgets."""
+    class; see the README for the time and memory each bound takes."""
 
     max_edges: int = 3
     max_circles: int = 4
@@ -71,8 +72,9 @@ class EnumerationSpec:
 def _words(n_edges: int):
     """All token sequences of length 2*n_edges: every edge index appears
     twice, indices first appear in increasing order, and each first
-    occurrence has positive sign (both are pure normalisations of the
-    canonical form)."""
+    occurrence has positive sign.  Both are normalisations the canonical
+    form also makes, so every class's canonical form, read circle after
+    circle, is one of these words; orderly enumeration relies on that."""
     out: list[tuple[tuple[int, int], ...]] = []
 
     def rec(word: list[tuple[int, int]], opened: int, open_set: frozenset[int]):
@@ -108,27 +110,31 @@ def enumerate_presentations(spec: EnumerationSpec = EnumerationSpec()) -> tuple[
     """Every presentation within the bounds, one canonical representative per
     class, sorted by canonical form.
 
+    Orderly generation: each class's canonical form is one of the (word,
+    composition) candidates, so only the candidates already in canonical
+    form are kept and no other is canonicalised.  A class with isolated
+    circles is a kept candidate padded with empty circles in front, where
+    its canonical form puts them.
+
     >>> [g.to_text() for g in enumerate_presentations(EnumerationSpec(1, 2))]
     ['(a+ a+)', '(a+ a-)', '(a+)(a+)']
     """
-    forms: set[str] = set()
+    kept = []
     if not spec.connected_only or spec.max_edges == 0:
         top = 1 if spec.connected_only else spec.max_circles
-        for k in range(1, top + 1):
-            forms.add(canonicalize(ArrowPresentation([()] * k)))
+        kept += [ArrowPresentation([()] * k) for k in range(1, top + 1)]
     for e in range(1, spec.max_edges + 1):
         for word in _words(e):
             for parts in _compositions(2 * e, spec.max_circles):
-                circles = [tuple((f"e{word[i][0]}", word[i][1]) for i in part) for part in parts]
-                g = ArrowPresentation(circles)
-                if spec.connected_only and not underlying_graph(g).is_connected():
+                circles = tuple(tuple(word[i] for i in part) for part in parts)
+                if not _is_canonical(circles):
                     continue
-                forms.add(canonicalize(g))
-                if not spec.connected_only:
-                    for extra in range(1, spec.max_circles - len(circles) + 1):
-                        padded = ArrowPresentation(circles + [()] * extra)
-                        forms.add(canonicalize(padded))
-    return tuple(canonical_presentation(ArrowPresentation.from_text(f)) for f in sorted(forms))
+                core = tuple(tuple((f"e{lab}", s) for lab, s in c) for c in circles)
+                if spec.connected_only and not underlying_graph(ArrowPresentation(core)).is_connected():
+                    continue
+                pads = (0,) if spec.connected_only else range(spec.max_circles - len(core) + 1)
+                kept += [ArrowPresentation(((),) * extra + core) for extra in pads]
+    return tuple(sorted(map(canonical_presentation, kept), key=canonicalize))
 
 
 # ---------------------------------------------------------------------------
@@ -267,24 +273,20 @@ def _lemma_genus_contract_delete(g):
     return checked, violations
 
 
-def _lemma_genus_eulerian(g):
-    checked = violations = 0
+def _genus_check(g, family) -> tuple[int, int]:
     base = euler_genus(g)
-    for mv in applicable_moves(g, MinorFamily.EULERIAN):
-        checked += 1
-        violations += euler_genus(mv.apply(g)) > base
-    return checked, violations
+    moves = applicable_moves(g, family)
+    return len(moves), sum(euler_genus(mv.apply(g)) > base for mv in moves)
+
+
+def _lemma_genus_eulerian(g):
+    return _genus_check(g, MinorFamily.EULERIAN)
 
 
 def _lemma_genus_cc(g):
     # empirical only: monotonicity for the checkerboard family (which also
     # allows improper contractions) is observed, not a stated law
-    checked = violations = 0
-    base = euler_genus(g)
-    for mv in applicable_moves(g, MinorFamily.CHECKERBOARD):
-        checked += 1
-        violations += euler_genus(mv.apply(g)) > base
-    return checked, violations
+    return _genus_check(g, MinorFamily.CHECKERBOARD)
 
 
 def _transport_check(g, family, dual_family) -> tuple[int, int]:

@@ -4,7 +4,7 @@ These deliberately re-derive everything from the raw circle data along a
 different code path: boundary structure via a networkx multigraph on arrow
 endpoints, and equivalence via explicit enumeration of relabellings, edge
 flips, rotations and reversals; canonical forms via the edge-flip mask
-loop.
+loop; the enumeration by canonicalising every candidate.
 """
 
 from __future__ import annotations
@@ -12,6 +12,9 @@ from __future__ import annotations
 from itertools import combinations, permutations
 
 import networkx as nx
+
+from ribbonminor import ArrowPresentation, canonical_presentation, canonicalize, underlying_graph
+from ribbonminor.verify import _compositions, _words
 
 
 def _endpoints_in_circle_order(circle):
@@ -209,3 +212,32 @@ def flip_loop_canonicalize(g) -> str:
         "(" + " ".join(f"{_flip_loop_label(i)}{'+' if bit == 0 else '-'}" for i, bit in circ) + ")"
         for circ in (best if best is not None else ())
     )
+
+
+# The enumeration as first written: every raw (word, composition) candidate
+# is canonicalised, the canonical texts are deduplicated, and each surviving
+# text is re-parsed.  The library keeps only the candidates that are already
+# canonical and must produce the same classes in the same order.
+
+
+def dedup_enumerate(spec):
+    """Class representatives of an ``EnumerationSpec`` by canonicalising
+    every candidate; uncached, but fills the library's canonical-form cache."""
+    forms: set[str] = set()
+    if not spec.connected_only or spec.max_edges == 0:
+        top = 1 if spec.connected_only else spec.max_circles
+        for k in range(1, top + 1):
+            forms.add(canonicalize(ArrowPresentation([()] * k)))
+    for e in range(1, spec.max_edges + 1):
+        for word in _words(e):
+            for parts in _compositions(2 * e, spec.max_circles):
+                circles = [tuple((f"e{word[i][0]}", word[i][1]) for i in part) for part in parts]
+                g = ArrowPresentation(circles)
+                if spec.connected_only and not underlying_graph(g).is_connected():
+                    continue
+                forms.add(canonicalize(g))
+                if not spec.connected_only:
+                    for extra in range(1, spec.max_circles - len(circles) + 1):
+                        padded = ArrowPresentation(circles + [()] * extra)
+                        forms.add(canonicalize(padded))
+    return tuple(canonical_presentation(ArrowPresentation.from_text(f)) for f in sorted(forms))

@@ -14,6 +14,7 @@ from ribbonminor import (
     trace_boundaries,
     underlying_graph,
 )
+from ribbonminor.arrow_core import _is_canonical
 from oracles import brute_equivalent, flip_loop_canonicalize, nx_boundary_partition, nx_euler_genus
 
 P = parse_arp
@@ -187,6 +188,20 @@ def test_canonicalize_idempotent(sweep2):
         c = canonicalize(g)
         assert canonicalize(parse_arp(c)) == c
         assert canonical_presentation(g).to_text() == c
+
+
+@pytest.mark.parametrize("text", ["(a+ b+ c+)(a+ b+ c-)", "(a+)(a+ b+ b+ c+)(c+)"])
+def test_bounded_canonical_test_keeps_tied_branch_that_is_above(text):
+    # canonical, but one tied first-circle branch has nothing within the bound
+    # at the next level: that branch is above the bound, not below it
+    assert canonicalize(P(text)) == text
+    assert _is_canonical(P(text).circles)
+
+
+@pytest.mark.parametrize("text", ["(a+ a+ b+)(b+)", "(a+ b+ a- b+)", "(a+ b+ b+ a-)", "(a+)(a+)()"])
+def test_bounded_canonical_test_rejects_non_minimal_order(text):
+    assert canonicalize(P(text)) != text
+    assert not _is_canonical(P(text).circles)
 
 
 def test_canonicalize_matches_flip_loop_oracle_on_raw_words():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ribbonminor import (
     ArrowPresentation,
+    canonical_presentation,
     canonicalize,
     contract_edge,
     delete_edge,
@@ -23,7 +24,7 @@ from ribbonminor import (
     partial_dual,
     trace_boundaries,
 )
-from ribbonminor.arrow_core import EdgeLineSegment
+from ribbonminor.arrow_core import EdgeLineSegment, _base_canonical, _encode_circle, _is_canonical
 from oracles import flip_loop_canonicalize
 
 
@@ -95,6 +96,30 @@ def test_canonical_form_invariant_under_equivalence_moves_up_to_10_edges(g, seed
 @given(presentations(max_edges=5, max_circles=4))
 def test_canonical_form_matches_flip_loop_oracle(g):
     assert canonicalize(g) == flip_loop_canonicalize(g)
+
+
+def _own_encoding(circles):
+    own, mapping = [], {}
+    for circle in circles:
+        enc, mapping = _encode_circle(circle, mapping)
+        own.append(enc)
+    return tuple(own)
+
+
+@settings(max_examples=200, deadline=None)
+@given(presentations(max_edges=5, max_circles=4))
+def test_bounded_canonical_test_matches_unbounded_search(g):
+    # the bounded search stops below the bound, prunes above it and recurses
+    # on ties; it must pass exactly the presentations that are their own minimum
+    assert _is_canonical(g.circles) == (_base_canonical(g.circles) == _own_encoding(g.circles))
+
+
+@settings(max_examples=100, deadline=None)
+@given(presentations(max_edges=5, max_circles=4))
+def test_bounded_canonical_test_passes_canonical_representatives(g):
+    rep = canonical_presentation(g)
+    assert _is_canonical(rep.circles)
+    assert _base_canonical(rep.circles) == _own_encoding(rep.circles)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,12 @@
+import hashlib
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
+import ribbonminor
 from ribbonminor import (
     ArpError,
     ArrowPresentation,
@@ -11,7 +18,7 @@ from ribbonminor import (
     verify_lemma,
     verify_theorem,
 )
-from oracles import brute_equivalent
+from oracles import brute_equivalent, dedup_enumerate
 
 P = parse_arp
 
@@ -61,6 +68,63 @@ def test_enumeration_is_deduplicated(sweep3):
     forms = [canonicalize(g) for g in sweep3]
     assert len(forms) == len(set(forms))
     assert forms == sorted(forms)
+
+
+_ORACLE_SPECS = [
+    (e, c, connected) for e in range(4) for c in range(1, 5) for connected in (True, False)
+] + [(4, 2, True)]
+
+
+@pytest.mark.parametrize("spec", _ORACLE_SPECS, ids=lambda s: "e%d-c%d-%s" % s)
+def test_enumeration_matches_dedup_oracle(spec):
+    got = [g.to_text() for g in enumerate_presentations(EnumerationSpec(*spec))]
+    assert got == [g.to_text() for g in dedup_enumerate(EnumerationSpec(*spec))]
+
+
+def test_enumeration_class_counts():
+    counts = [len(enumerate_presentations(EnumerationSpec(e, 4, True))) for e in range(5)]
+    assert counts == [1, 3, 14, 77, 588]
+
+
+@pytest.mark.parametrize(
+    "spec, n_classes, digest",
+    [
+        ((3, 4, True), 77, "95d35d6fd88971cf71783aad83d8653b2a55f26d6352328df244d8ee7a334730"),
+        ((3, 4, False), 349, "b3e0b379ac6f5c6b302ed20d49812dbd25bb0eeb14f5800a7053141681856131"),
+        ((4, 2, True), 446, "c1f4a7b6d4dc8c5f531421425eaf0ad01464b492f7d14173ca39b96d8484e4a2"),
+        ((4, 4, True), 588, "2982d3c95b9f77414ddb03c1884e2c32450b07311294c207b22897eed27ed39e"),
+    ],
+    ids=lambda v: "e%d-c%d-%s" % v if isinstance(v, tuple) else None,
+)
+def test_enumeration_pinned_class_lists(spec, n_classes, digest):
+    texts = [g.to_text() for g in enumerate_presentations(EnumerationSpec(*spec))]
+    assert len(texts) == n_classes
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == digest
+
+
+_MEMO_GROWTH = """
+import json
+from ribbonminor import arrow_core, EnumerationSpec, enumerate_presentations
+sizes = lambda: (len(arrow_core._canon_cache), arrow_core.underlying_graph.cache_info().currsize)
+before = sizes()
+classes = enumerate_presentations.__wrapped__(EnumerationSpec(3, 4))
+after = sizes()
+print(json.dumps([len(classes), after[0] - before[0], after[1] - before[1]]))
+"""
+
+
+def test_enumeration_memo_growth_is_per_class():
+    # a fresh interpreter, so that no earlier test has filled the memo tables
+    src = os.path.dirname(os.path.dirname(ribbonminor.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c", _MEMO_GROWTH], env=env, capture_output=True, text=True, check=True,
+        timeout=300,
+    )
+    n_classes, canon_growth, graph_growth = json.loads(out.stdout)
+    assert n_classes == 77
+    assert canon_growth <= 2 * n_classes
+    assert graph_growth <= 2 * n_classes
 
 
 def test_enumeration_spec_validation():
