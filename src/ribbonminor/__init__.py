@@ -14,7 +14,6 @@ from .arrow_core import (
     VertexLineSegment,
     canonical_presentation,
     canonicalize,
-    degree,
     euler_genus,
     format_arp,
     is_equivalent,
@@ -37,11 +36,9 @@ from .minor_ops import (
     is_permissible_join,
     is_proper_contraction,
     is_proper_deletion,
-    is_proper_deletion_direct,
     join_vertices,
     split_face,
     split_vertex,
-    split_vertex_via_insertion,
     vls_dual_distance,
 )
 from .minor_search import (
@@ -68,7 +65,6 @@ from .predicates import (
     is_eulerian,
     is_even_face,
     is_plane,
-    is_trivial_loop,
 )
 from .verify import (
     CHECKS,

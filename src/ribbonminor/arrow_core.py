@@ -18,7 +18,7 @@ import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Union
+from typing import Container, Iterable, NamedTuple, Union
 
 __all__ = [
     "ArpError",
@@ -29,7 +29,6 @@ __all__ = [
     "VertexLineSegment",
     "canonical_presentation",
     "canonicalize",
-    "degree",
     "euler_genus",
     "format_arp",
     "is_equivalent",
@@ -230,10 +229,6 @@ class EdgeLineSegment(NamedTuple):
 
 Segment = Union[VertexLineSegment, EdgeLineSegment]
 
-# endpoint of an arrow occurrence: (circle, position, part) with part 0=tail, 1=head
-_Endpoint = tuple[int, int, int]
-
-
 @dataclass(frozen=True)
 class BoundaryComponent:
     """A closed boundary walk, as the cyclic sequence of segments it crosses.
@@ -263,43 +258,67 @@ class BoundaryComponent:
             raise ArpError(f"segment {seg!r} not on this boundary component") from None
 
 
-def _entry_endpoint(ci: int, pos: int, sign: Sign) -> _Endpoint:
-    # first endpoint met when walking the circle: tail for +, head for -
-    return (ci, pos, 0 if sign > 0 else 1)
+#: An arc between two arrow endpoints ``(circle, position, part)``, part 0
+#: the tail and 1 the head, stored from its first endpoint to its second.
+_Arc = tuple[tuple[int, int, int], tuple[int, int, int]]
 
 
-def _exit_endpoint(ci: int, pos: int, sign: Sign) -> _Endpoint:
-    return (ci, pos, 1 if sign > 0 else 0)
+def _boundary_arcs(g: ArrowPresentation, jumped: Container[str]) -> list[_Arc]:
+    """The arcs of the boundary walk with the edges in ``jumped`` crossed.
 
-
-def _segment_endpoints(g: ArrowPresentation) -> dict[Segment, tuple[_Endpoint, _Endpoint] | None]:
-    """Map every boundary segment to its intrinsically oriented endpoint pair.
-
-    Isolated-vertex gaps map to ``None``: their boundary is a closed circle on
-    its own.
+    First the gaps, circle by circle, each from the exit endpoint of its arrow
+    to the entry endpoint of the next; an empty circle's single gap is an arc
+    from one notional endpoint to itself.  Then, for each label in sorted
+    order, its two jump segments head to tail if it is in ``jumped``, else its
+    two arrows tail to head.  Every endpoint meets one gap and one other arc.
+    With every label jumped the cycles are the boundary components; with the
+    labels of A jumped they are the circles of the partial dual g^A, whose
+    arrows are the jump segments of A (Chmutov, JCTB 2009).
     """
-    segs: dict[Segment, tuple[_Endpoint, _Endpoint] | None] = {}
+    arcs: list[_Arc] = []
     for ci, circle in enumerate(g.circles):
+        if not circle:
+            arcs.append(((ci, 0, 0), (ci, 0, 0)))  # no arrow on ci uses this endpoint
         d = len(circle)
-        if d == 0:
-            segs[VertexLineSegment(ci, 0)] = None
-            continue
         for j in range(d):
             k = (j + 1) % d
-            segs[VertexLineSegment(ci, j)] = (
-                _exit_endpoint(ci, j, circle[j][1]),
-                _entry_endpoint(ci, k, circle[k][1]),
-            )
+            # exit: the head (part True == 1) of a + arrow, the tail of a - one;
+            # entry the other way round
+            arcs.append(((ci, j, circle[j][1] > 0), (ci, k, circle[k][1] < 0)))
     for lab, ((c1, p1), (c2, p2)) in sorted(g.occurrences.items()):
-        segs[EdgeLineSegment(lab, 1)] = ((c1, p1, 1), (c2, p2, 0))
-        segs[EdgeLineSegment(lab, 2)] = ((c2, p2, 1), (c1, p1, 0))
-    return segs
+        t1, h1, t2, h2 = (c1, p1, 0), (c1, p1, 1), (c2, p2, 0), (c2, p2, 1)
+        arcs += [(h1, t2), (h2, t1)] if lab in jumped else [(t1, h1), (t2, h2)]
+    return arcs
 
 
-def _segment_sort_key(seg: Segment):
-    if isinstance(seg, VertexLineSegment):
-        return (0, seg.circle, seg.gap)
-    return (1, seg.label, seg.side)
+def _trace_cycles(arcs: list[_Arc]) -> list[list[tuple[int, int]]]:
+    """The cycles of a 2-regular arc list as ``(arc index, direction)`` pairs.
+
+    Each cycle starts at its lowest-index arc, walked from its first endpoint
+    to its second; direction is +1 for an arc walked that way, else -1.
+    End 2i of arc i is its first endpoint and end 2i+1 its second; ``mate``
+    pairs the two ends that meet at each endpoint.
+    """
+    mate = [0] * (2 * len(arcs))
+    first_end: dict[tuple, int] = {}
+    for end, ep in enumerate([ep for arc in arcs for ep in arc]):
+        other = first_end.setdefault(ep, end)
+        if other != end:
+            mate[end], mate[other] = other, end
+    cycles = []
+    seen = [False] * len(arcs)
+    for start in range(len(arcs)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        cycle = [(start, 1)]
+        end = mate[2 * start + 1]
+        while end >> 1 != start:
+            seen[end >> 1] = True
+            cycle.append((end >> 1, 1 - 2 * (end & 1)))  # entered at its first end: +1
+            end = mate[end ^ 1]
+        cycles.append(cycle)
+    return cycles
 
 
 @lru_cache(maxsize=None)
@@ -310,46 +329,23 @@ def trace_boundaries(g: ArrowPresentation) -> tuple[BoundaryComponent, ...]:
     join consecutive endpoints around each circle, and each edge contributes
     the two jump segments head-to-tail between its occurrences.  The result
     is 2-regular and its cycles are the boundary components, each a strictly
-    alternating walk of vertex and edge line segments.
+    alternating walk of vertex and edge line segments.  Components come in
+    the order of their first segment, gaps (by circle, then gap) before edge
+    sides (by label, then side).
 
     >>> [b.n_edge_segments() for b in trace_boundaries(parse_arp("(e+ e+)"))]
     [1, 1]
     >>> [b.n_edge_segments() for b in trace_boundaries(parse_arp("(e+ e-)"))]
     [2]
     """
-    segs = _segment_endpoints(g)
-    at: dict[_Endpoint, list[Segment]] = defaultdict(list)
-    for seg, eps in segs.items():
-        if eps is not None:
-            at[eps[0]].append(seg)
-            at[eps[1]].append(seg)
-    components: list[BoundaryComponent] = []
-    seen: set[Segment] = set()
-    for seg0 in sorted(segs, key=_segment_sort_key):
-        if seg0 in seen:
-            continue
-        if segs[seg0] is None:
-            seen.add(seg0)
-            components.append(BoundaryComponent((seg0,), (1,)))
-            continue
-        walk = [seg0]
-        dirs = [1]
-        seen.add(seg0)
-        cur, direction = seg0, 1
-        while True:
-            a, b = segs[cur]  # type: ignore[misc]
-            ep = b if direction == 1 else a
-            s1, s2 = at[ep]
-            nxt = s2 if s1 == cur else s1
-            if nxt == seg0:
-                break
-            ndir = 1 if segs[nxt][0] == ep else -1  # type: ignore[index]
-            walk.append(nxt)
-            dirs.append(ndir)
-            seen.add(nxt)
-            cur, direction = nxt, ndir
-        components.append(BoundaryComponent(tuple(walk), tuple(dirs)))
-    return tuple(components)
+    segs: list[Segment] = [
+        VertexLineSegment(ci, j) for ci, c in enumerate(g.circles) for j in range(max(len(c), 1))
+    ]
+    segs += [EdgeLineSegment(lab, side) for lab in g.labels for side in (1, 2)]
+    return tuple(
+        BoundaryComponent(tuple(segs[i] for i, _ in cyc), tuple(d for _, d in cyc))
+        for cyc in _trace_cycles(_boundary_arcs(g, g.occurrences))  # every label jumped
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +364,6 @@ class UnderlyingGraph:
 
     n_vertices: int
     edges: tuple[tuple[str, int, int], ...]  # (label, u, v) with u <= v
-
-    def degree(self, v: int) -> int:
-        return sum((u == v) + (w == v) for _, u, w in self.edges)
 
     def neighbors(self, v: int) -> frozenset[int]:
         out = set()
@@ -405,27 +398,7 @@ class UnderlyingGraph:
 
     def has_odd_cycle(self) -> bool:
         """Odd-cycle test by 2-colouring; any loop counts as an odd cycle."""
-        if any(u == w for _, u, w in self.edges):
-            return True
-        adj: dict[int, list[int]] = defaultdict(list)
-        for _, u, w in self.edges:
-            adj[u].append(w)
-            adj[w].append(u)
-        colour: dict[int, int] = {}
-        for start in range(self.n_vertices):
-            if start in colour:
-                continue
-            colour[start] = 0
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for w in adj[v]:
-                    if w not in colour:
-                        colour[w] = colour[v] ^ 1
-                        stack.append(w)
-                    elif colour[w] == colour[v]:
-                        return True
-        return False
+        return _two_colouring(self.n_vertices, [(u, w) for _, u, w in self.edges]) is None
 
     def canonical_key(self) -> tuple:
         """Isomorphism-class key: minimal relabelled edge multiset.
@@ -445,8 +418,31 @@ class UnderlyingGraph:
                 best = cand
         return (self.n_vertices, best if best is not None else ())
 
-    def is_isomorphic(self, other: "UnderlyingGraph") -> bool:
-        return self.canonical_key() == other.canonical_key()
+
+def _two_colouring(n: int, pairs: Iterable[tuple[int, int]]) -> dict[int, int] | None:
+    """A 0/1 colouring of vertices 0..n-1 giving the two ends of every pair
+    different colours, or None when there is none (a pair (v, v) rules it
+    out).  Each uncoloured vertex in turn gets colour 0, then a depth-first
+    search colours its component."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, w in pairs:
+        adj[u].append(w)
+        adj[w].append(u)
+    colour: dict[int, int] = {}
+    for start in range(n):
+        if start in colour:
+            continue
+        colour[start] = 0
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for w in adj[v]:
+                if w not in colour:
+                    colour[w] = colour[v] ^ 1
+                    stack.append(w)
+                elif colour[w] == colour[v]:
+                    return None
+    return colour
 
 
 @lru_cache(maxsize=None)
@@ -455,11 +451,6 @@ def underlying_graph(g: ArrowPresentation) -> UnderlyingGraph:
     for lab, ((c1, _), (c2, _)) in sorted(g.occurrences.items()):
         edges.append((lab, min(c1, c2), max(c1, c2)))
     return UnderlyingGraph(g.n_vertices, tuple(edges))
-
-
-def degree(g: ArrowPresentation, circle: int) -> int:
-    """Occurrence count of a circle (loops contribute twice)."""
-    return g.degree(circle)
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +522,16 @@ def _base_canonical(circles: tuple[Circle, ...], bound: tuple | None = None) -> 
     as soon as a circle encodes below the bound's circle at its level, and
     does not descend into a branch that is already above it.  The result is
     then ``bound`` exactly when no encoding is smaller.
+
+    Empty circles encode as ``()``, below every other circle, so they lead
+    every minimal encoding and only the other circles are searched over.
     """
+    empty = tuple(() for c in circles if not c)
+    circles = tuple(c for c in circles if c)
+    if bound is not None:
+        if bound[: len(empty)] != empty:
+            return None  # an empty circle encodes below the bound's circle there
+        bound = bound[len(empty) :]
     variants = [_circle_variants(c) for c in circles]
 
     def rec(remaining: frozenset[int], mapping: _Firsts) -> tuple | None:
@@ -564,7 +564,8 @@ def _base_canonical(circles: tuple[Circle, ...], bound: tuple | None = None) -> 
             results.append((best_enc,) + rest)
         return min(results)
 
-    return rec(frozenset(range(len(circles))), {})
+    rest = rec(frozenset(range(len(circles))), {})
+    return None if rest is None else empty + rest
 
 
 def _is_canonical(circles: tuple[Circle, ...]) -> bool:

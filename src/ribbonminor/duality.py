@@ -10,15 +10,9 @@ the outcome does not depend on the order.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Iterable
 
-from .arrow_core import (
-    ArpError,
-    ArrowPresentation,
-    _entry_endpoint,
-    _exit_endpoint,
-)
+from .arrow_core import ArpError, ArrowPresentation, _boundary_arcs, _trace_cycles
 
 __all__ = ["geometric_dual", "partial_dual"]
 
@@ -41,62 +35,21 @@ def partial_dual(g: ArrowPresentation, edges: Iterable[str]) -> ArrowPresentatio
     a = frozenset(edges)
     if not a:
         return g
-    missing = a - set(g.labels)
+    labels = g.labels
+    missing = a - set(labels)
     if missing:
         raise ArpError(f"label {sorted(missing)[0]!r} not present")
 
-    # Arcs between occurrence endpoints.  Arrow arcs are stored (tail, head);
-    # gap arcs are stored (exit of occ j, entry of occ j+1).  Each endpoint
-    # meets exactly one arc of each kind, so the arcs close into circles.
-    arcs: list[tuple] = []  # ("arrow", label, tail_ep, head_ep) | ("gap", ep_a, ep_b)
-    n_empty = 0
-    for ci, circle in enumerate(g.circles):
-        d = len(circle)
-        if d == 0:
-            n_empty += 1
-            continue
-        for j in range(d):
-            k = (j + 1) % d
-            arcs.append(
-                ("gap", _exit_endpoint(ci, j, circle[j][1]), _entry_endpoint(ci, k, circle[k][1]))
-            )
-    for lab, ((c1, p1), (c2, p2)) in sorted(g.occurrences.items()):
-        t1, h1 = (c1, p1, 0), (c1, p1, 1)
-        t2, h2 = (c2, p2, 0), (c2, p2, 1)
-        if lab in a:
-            arcs.append(("arrow", lab, h1, t2))
-            arcs.append(("arrow", lab, h2, t1))
-        else:
-            arcs.append(("arrow", lab, t1, h1))
-            arcs.append(("arrow", lab, t2, h2))
-
-    at: dict[tuple, list[int]] = defaultdict(list)
-    for idx, arc in enumerate(arcs):
-        at[arc[-2]].append(idx)
-        at[arc[-1]].append(idx)
-
-    circles = []
-    visited = [False] * len(arcs)
-    for start in range(len(arcs)):
-        if visited[start]:
-            continue
-        word = []
-        idx, forward = start, True
-        while True:
-            visited[idx] = True
-            arc = arcs[idx]
-            if arc[0] == "arrow":
-                word.append((arc[1], 1 if forward else -1))
-            ep = arc[-1] if forward else arc[-2]
-            i1, i2 = at[ep]
-            nxt = i2 if i1 == idx else i1
-            if nxt == start:
-                break
-            forward = arcs[nxt][-2] == ep
-            idx = nxt
-        circles.append(tuple(word))
-    circles.extend(() for _ in range(n_empty))
-    return ArrowPresentation(circles)
+    # The dual's circles are the cycles of the walk that crosses the edges of
+    # A; each arrow or jump segment met on a cycle is an arrow of the dual,
+    # + when walked along it.  Isolated circles come out as empty words.
+    arcs = _boundary_arcs(g, a)
+    first = len(arcs) - 2 * len(labels)  # the gaps come first, then two arcs per label
+    words = [
+        tuple((labels[(i - first) // 2], d) for i, d in cycle if i >= first)
+        for cycle in _trace_cycles(arcs)
+    ]
+    return ArrowPresentation(sorted(words, key=lambda w: not w))  # isolated circles last
 
 
 def geometric_dual(g: ArrowPresentation) -> ArrowPresentation:

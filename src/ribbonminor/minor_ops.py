@@ -40,11 +40,9 @@ __all__ = [
     "is_permissible_join",
     "is_proper_contraction",
     "is_proper_deletion",
-    "is_proper_deletion_direct",
     "join_vertices",
     "split_face",
     "split_vertex",
-    "split_vertex_via_insertion",
     "vls_dual_distance",
 ]
 
@@ -221,32 +219,6 @@ def is_proper_deletion(g: ArrowPresentation, e: str) -> bool:
     return is_proper_contraction(geometric_dual(g), e)
 
 
-def is_proper_deletion_direct(g: ArrowPresentation, e: str) -> bool:
-    """Direct form of the properness test for deletion, without dualising.
-
-    Deletion is improper exactly when (1) the two edge line segments of e lie
-    on one boundary component, (2) their distance there is odd, and (3)
-    arrows placed on them consistently with the edge boundary are consistent
-    on that component.  Kept alongside :func:`is_proper_deletion` as a
-    cross-validating oracle.
-    """
-    _check_label(g, e)
-    s1, s2 = EdgeLineSegment(e, 1), EdgeLineSegment(e, 2)
-    for b in trace_boundaries(g):
-        if s1 in b.segments:
-            if s2 not in b.segments:
-                return True  # condition (1) fails
-            i, j = b.segments.index(s1), b.segments.index(s2)
-            k, m = _boundary_arc_edge_counts(b, i, j)
-            if not (k % 2 == 1 and m % 2 == 1):
-                return True  # condition (2) fails: the distance is even
-            # The intrinsic orientations of the two sides (head of one arrow
-            # to tail of the other) are consistent along the edge boundary,
-            # so condition (3) holds iff the walk crosses both the same way.
-            return b.directions[i] != b.directions[j]
-    raise ArpError(f"label {e!r} not present")  # pragma: no cover
-
-
 # ---------------------------------------------------------------------------
 # evenly splitting a vertex / a face
 # ---------------------------------------------------------------------------
@@ -294,23 +266,6 @@ def split_vertex(g: ArrowPresentation, circle: int, p: int, q: int) -> ArrowPres
     return ArrowPresentation(
         g.circles[:circle] + (arc_a, arc_b) + g.circles[circle + 1 :]
     )
-
-
-def split_vertex_via_insertion(g: ArrowPresentation, circle: int, p: int, q: int) -> ArrowPresentation:
-    """The same split performed literally: insert a fresh edge with consistent
-    arrows at the two gaps, then contract it.  Agrees with
-    :func:`split_vertex` up to equivalence; kept as a cross-check."""
-    if not can_split_vertex(g, circle, p, q):
-        raise ArpError("dual distance is odd")
-    x = _fresh_label(g)
-    c = g.circles[circle]
-    p, q = sorted((p, q))
-    if p == q:
-        new = c[: p + 1] + ((x, 1), (x, 1)) + c[p + 1 :]
-    else:
-        new = c[: p + 1] + ((x, 1),) + c[p + 1 : q + 1] + ((x, 1),) + c[q + 1 :]
-    inserted = ArrowPresentation(g.circles[:circle] + (new,) + g.circles[circle + 1 :])
-    return contract_edge(inserted, x)
 
 
 def _insert_at_gap(circles: list[tuple], gap: VertexLineSegment, arrow) -> None:

@@ -11,9 +11,9 @@ genus zero).
 from __future__ import annotations
 
 from .arrow_core import (
-    ArpError,
     ArrowPresentation,
     EdgeLineSegment,
+    _two_colouring,
     euler_genus,
     trace_boundaries,
     underlying_graph,
@@ -26,7 +26,6 @@ __all__ = [
     "is_eulerian",
     "is_even_face",
     "is_plane",
-    "is_trivial_loop",
 ]
 
 
@@ -46,7 +45,7 @@ def checkerboard_colouring(g: ArrowPresentation) -> dict[int, int] | None:
 
     Each edge constrains the components holding its two sides to differ, so
     this is 2-colourability of the constraint multigraph on components; an
-    edge with both sides on one component rules a colouring out immediately.
+    edge with both sides on one component rules a colouring out.
     """
     boundaries = trace_boundaries(g)
     where: dict[tuple[str, int], int] = {}
@@ -54,28 +53,8 @@ def checkerboard_colouring(g: ArrowPresentation) -> dict[int, int] | None:
         for seg in b.segments:
             if isinstance(seg, EdgeLineSegment):
                 where[(seg.label, seg.side)] = bi
-    adj: dict[int, list[int]] = {bi: [] for bi in range(len(boundaries))}
-    for lab in g.labels:
-        b1, b2 = where[(lab, 1)], where[(lab, 2)]
-        if b1 == b2:
-            return None
-        adj[b1].append(b2)
-        adj[b2].append(b1)
-    colour: dict[int, int] = {}
-    for start in range(len(boundaries)):
-        if start in colour:
-            continue
-        colour[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in colour:
-                    colour[w] = colour[v] ^ 1
-                    stack.append(w)
-                elif colour[w] == colour[v]:
-                    return None
-    return colour
+    pairs = [(where[(lab, 1)], where[(lab, 2)]) for lab in g.labels]
+    return _two_colouring(len(boundaries), pairs)
 
 
 def is_checkerboard_colourable(g: ArrowPresentation) -> bool:
@@ -95,24 +74,3 @@ def is_bipartite(g: ArrowPresentation) -> bool:
 
 def is_plane(g: ArrowPresentation) -> bool:
     return euler_genus(g) == 0
-
-
-def is_trivial_loop(g: ArrowPresentation, e: str) -> bool:
-    """For a bouquet, whether no other loop's occurrences interleave with e's.
-
-    Only single-circle presentations are supported; every edge of a bouquet
-    is a loop.
-    """
-    if g.n_vertices != 1:
-        raise ArpError("is_trivial_loop requires a bouquet (exactly one circle)")
-    if e not in g.occurrences:
-        raise ArpError(f"label {e!r} not present")
-    circle = g.circles[0]
-    p1, p2 = (pos for _, pos in g.occurrences[e])
-    for lab in g.labels:
-        if lab == e:
-            continue
-        (_, q1), (_, q2) = g.occurrences[lab]
-        if (p1 < q1 < p2) != (p1 < q2 < p2):
-            return False
-    return True

@@ -26,17 +26,20 @@ from ribbonminor import (
     is_even_face,
     is_plane,
     is_proper_deletion,
-    is_proper_deletion_direct,
     partial_dual,
     split_vertex,
-    split_vertex_via_insertion,
     target_catalog,
     trace_boundaries,
     verify_lemma,
     verify_theorem,
 )
 from ribbonminor.minor_ops import can_split_vertex
-from oracles import nx_component_count, nx_face_count
+from oracles import (
+    is_proper_deletion_direct,
+    nx_component_count,
+    nx_face_count,
+    split_vertex_via_insertion,
+)
 
 SPEC3 = EnumerationSpec(max_edges=3, max_circles=4, connected_only=True)
 

@@ -6,7 +6,6 @@ from ribbonminor import (
     VertexLineSegment,
     canonical_presentation,
     canonicalize,
-    degree,
     euler_genus,
     format_arp,
     is_equivalent,
@@ -15,7 +14,13 @@ from ribbonminor import (
     underlying_graph,
 )
 from ribbonminor.arrow_core import _is_canonical
-from oracles import brute_equivalent, flip_loop_canonicalize, nx_boundary_partition, nx_euler_genus
+from oracles import (
+    brute_equivalent,
+    endpoint_trace_boundaries,
+    flip_loop_canonicalize,
+    nx_boundary_partition,
+    nx_euler_genus,
+)
 
 P = parse_arp
 
@@ -153,20 +158,39 @@ def test_genus_nonnegative_up_to_4_edges_exhaustive():
                 assert euler_genus(g) >= 0, g
 
 
+def _with_isolated_circles(circles):
+    """The presentation of the circles, and of the circles with one or two
+    isolated circles inserted at every place."""
+    n = len(circles)
+    yield ArrowPresentation(circles)
+    for i in range(n + 1):
+        yield ArrowPresentation(circles[:i] + [()] + circles[i:])
+        for j in range(i, n + 1):
+            yield ArrowPresentation(circles[:i] + [()] + circles[i:j] + [()] + circles[j:])
+
+
+def test_trace_boundaries_matches_endpoint_walk_oracle_on_raw_words(raw3):
+    # same components in the same order, with the same segments and
+    # directions; called uncached so the sweep does not fill the cache
+    for circles in raw3:
+        for g in _with_isolated_circles(circles):
+            assert trace_boundaries.__wrapped__(g) == endpoint_trace_boundaries(g), g
+
+
 def test_degree_and_underlying_graph():
     g = P("(e+ e+)")
-    assert degree(g, 0) == 2
+    assert g.degree(0) == 2
     assert underlying_graph(g).edges == (("e", 0, 0),)
 
     g = P("(a+)(a+)")
-    assert degree(g, 0) == degree(g, 1) == 1
+    assert g.degree(0) == g.degree(1) == 1
     assert underlying_graph(g).edges == (("a", 0, 1),)
 
     g = P("(a+ b+ a+ b+)")
-    assert degree(g, 0) == 4
+    assert g.degree(0) == 4
     assert underlying_graph(g).edges == (("a", 0, 0), ("b", 0, 0))
     with pytest.raises(ArpError):
-        degree(g, 5)
+        g.degree(5)
 
 
 def test_components_count_isolated_circles():
@@ -204,22 +228,13 @@ def test_bounded_canonical_test_rejects_non_minimal_order(text):
     assert not _is_canonical(P(text).circles)
 
 
-def test_canonicalize_matches_flip_loop_oracle_on_raw_words():
+def test_canonicalize_matches_flip_loop_oracle_on_raw_words(raw3):
     # Every raw word of at most 3 edges split into at most 4 circles, and
     # 1-4 isolated circles: the flip-invariant encoding must give the
     # flip-loop canonical strings byte for byte, and so must the class
     # representative it builds.
-    from ribbonminor.verify import _compositions, _words
-
     inputs = [ArrowPresentation([()] * k) for k in range(1, 5)]
-    for e in range(1, 4):
-        for word in _words(e):
-            for parts in _compositions(2 * e, 4):
-                inputs.append(
-                    ArrowPresentation(
-                        [tuple((f"e{word[i][0]}", word[i][1]) for i in part) for part in parts]
-                    )
-                )
+    inputs += [ArrowPresentation(circles) for circles in raw3]
     classes = set()
     for g in inputs:
         c = canonicalize(g)

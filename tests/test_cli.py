@@ -157,3 +157,13 @@ def test_minor_join_family_vertex_limit(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "join family" in err and "at most 8 vertices" in err and "got 9 vertices" in err
     assert "canonical_key" not in err
+
+
+def test_info_many_isolated_circles(tmp_path, capsys):
+    # one search level per non-empty circle only: 1,100 empty circles must
+    # not exhaust the recursion limit
+    path = _write(tmp_path, "g.arp", "()\n" * 1100)
+    assert main(["info", path]) == 0
+    out = capsys.readouterr().out
+    assert "V=1100 E=0 F=1100" in out
+    assert out.endswith("canonical: " + "()" * 1100 + "\n")

@@ -4,6 +4,7 @@ import pytest
 
 from ribbonminor import (
     ArpError,
+    ArrowPresentation,
     euler_genus,
     geometric_dual,
     is_bipartite,
@@ -15,6 +16,7 @@ from ribbonminor import (
     partial_dual,
     trace_boundaries,
 )
+from oracles import endpoint_partial_dual
 
 P = parse_arp
 
@@ -22,6 +24,19 @@ P = parse_arp
 def _subsets(labels):
     for r in range(len(labels) + 1):
         yield from (frozenset(c) for c in combinations(labels, r))
+
+
+def test_partial_dual_matches_endpoint_walk_oracle_on_raw_words(raw3):
+    # same circles in the same order, rotation and signs, for every edge
+    # subset; isolated circles, placed first and between, must come out last
+    for circles in raw3:
+        for g in (
+            ArrowPresentation(circles),
+            ArrowPresentation([()] + circles),
+            ArrowPresentation([()] + circles[:1] + [()] + circles[1:]),
+        ):
+            for a in _subsets(g.labels):
+                assert partial_dual(g, a).circles == endpoint_partial_dual(g, a).circles, (g, a)
 
 
 def test_partial_dual_examples():

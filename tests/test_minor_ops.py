@@ -19,16 +19,15 @@ from ribbonminor import (
     is_permissible_join,
     is_proper_contraction,
     is_proper_deletion,
-    is_proper_deletion_direct,
     join_vertices,
     parse_arp,
     split_face,
     split_vertex,
-    split_vertex_via_insertion,
     trace_boundaries,
     vls_dual_distance,
 )
 from ribbonminor.minor_search import MinorFamily, applicable_moves
+from oracles import is_proper_deletion_direct, split_vertex_via_insertion
 
 P = parse_arp
 

@@ -10,10 +10,10 @@ from ribbonminor import (
     is_eulerian,
     is_even_face,
     is_plane,
-    is_trivial_loop,
     parse_arp,
     trace_boundaries,
 )
+from oracles import is_trivial_loop, nx_is_bipartite, nx_is_checkerboard_colourable
 
 P = parse_arp
 
@@ -70,6 +70,12 @@ def test_colouring_witness_is_valid(sweep3):
                     where[(seg.label, seg.side)] = bi
         for lab in g.labels:
             assert colouring[where[(lab, 1)]] != colouring[where[(lab, 2)]], (g, lab)
+
+
+def test_bipartite_and_cc_match_networkx(sweep3):
+    for g in sweep3:
+        assert is_bipartite(g) == nx_is_bipartite(g), g
+        assert is_checkerboard_colourable(g) == nx_is_checkerboard_colourable(g), g
 
 
 def test_is_trivial_loop_examples():

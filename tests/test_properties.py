@@ -19,13 +19,19 @@ from ribbonminor import (
     is_eulerian,
     is_even_face,
     is_proper_deletion,
-    is_proper_deletion_direct,
     parse_arp,
     partial_dual,
     trace_boundaries,
 )
 from ribbonminor.arrow_core import EdgeLineSegment, _base_canonical, _encode_circle, _is_canonical
-from oracles import flip_loop_canonicalize
+from oracles import (
+    endpoint_partial_dual,
+    endpoint_trace_boundaries,
+    flip_loop_canonicalize,
+    is_proper_deletion_direct,
+    nx_is_bipartite,
+    nx_is_checkerboard_colourable,
+)
 
 
 @st.composite
@@ -181,3 +187,20 @@ def test_label_invariant_preserved_by_moves(g):
 def test_proper_deletion_dual_equals_direct(g):
     for e in g.labels:
         assert is_proper_deletion(g, e) == is_proper_deletion_direct(g, e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(presentations(max_edges=12, max_circles=6), st.integers(0, 2**32 - 1))
+def test_boundary_walk_matches_endpoint_walk_oracles_up_to_12_edges(g, seed):
+    assert trace_boundaries.__wrapped__(g) == endpoint_trace_boundaries(g)
+    rng = random.Random(seed)
+    subset = frozenset(e for e in g.labels if rng.random() < 0.5)
+    assert partial_dual(g, subset).circles == endpoint_partial_dual(g, subset).circles
+    assert geometric_dual(g).circles == endpoint_partial_dual(g, g.labels).circles
+
+
+@settings(max_examples=100, deadline=None)
+@given(presentations(max_edges=8, max_circles=5))
+def test_two_colourings_match_networkx(g):
+    assert is_bipartite(g) == nx_is_bipartite(g)
+    assert is_checkerboard_colourable(g) == nx_is_checkerboard_colourable(g)
