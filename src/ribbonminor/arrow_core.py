@@ -538,22 +538,24 @@ def _base_canonical(circles: tuple[Circle, ...], bound: tuple | None = None) -> 
         if not remaining:
             return ()
         level = None if bound is None else bound[len(circles) - len(remaining)]
-        cands = []
+        # only the ties of the least encoding so far are kept, so a level
+        # holds a few label mappings, not one per remaining circle variant
+        best_enc, ties = None, []
         for ci in remaining:
             for var in variants[ci]:
                 enc, m = _encode_circle(var, mapping)
                 if level is not None and enc < level:
                     return None
-                cands.append((enc, ci, m))
-        best_enc = min(c[0] for c in cands)
+                if best_enc is None or enc < best_enc:
+                    best_enc, ties = enc, []
+                if enc == best_enc:
+                    ties.append((ci, m))
         if level is not None and best_enc != level:
             # every encoding in this branch is above the bound
             return (best_enc,)
-        results = []
+        best = None
         seen_branch = set()
-        for enc, ci, m in cands:
-            if enc != best_enc:
-                continue
+        for ci, m in ties:
             sig = (tuple(sorted(m.items())), tuple(sorted(circles[i] for i in remaining if i != ci)))
             if sig in seen_branch:
                 continue
@@ -561,8 +563,9 @@ def _base_canonical(circles: tuple[Circle, ...], bound: tuple | None = None) -> 
             rest = rec(remaining - {ci}, m)
             if rest is None:
                 return None
-            results.append((best_enc,) + rest)
-        return min(results)
+            if best is None or rest < best:
+                best = rest
+        return (best_enc,) + best
 
     rest = rec(frozenset(range(len(circles))), {})
     return None if rest is None else empty + rest

@@ -23,15 +23,7 @@ from .arrow_core import (
     underlying_graph,
 )
 from .duality import geometric_dual, partial_dual
-from .minor_ops import (
-    contract_edge,
-    delete_component,
-    delete_edge,
-    delete_vertex,
-    join_vertices,
-    split_face,
-    split_vertex,
-)
+from .minor_ops import MinorMove
 from .minor_search import MinorFamily, minor_witness
 from .predicates import (
     is_bipartite,
@@ -86,32 +78,10 @@ def _cmd_pdual(args) -> int:
     return _emit(partial_dual(_read_presentation(args.file), labels))
 
 
-def _cmd_contract(args) -> int:
-    return _emit(contract_edge(_read_presentation(args.file), args.edge))
-
-
-def _cmd_delete(args) -> int:
-    return _emit(delete_edge(_read_presentation(args.file), args.edge))
-
-
-def _cmd_delete_component(args) -> int:
-    return _emit(delete_component(_read_presentation(args.file), args.component))
-
-
-def _cmd_split_vertex(args) -> int:
-    return _emit(split_vertex(_read_presentation(args.file), args.circle, args.p, args.q))
-
-
-def _cmd_split_face(args) -> int:
-    return _emit(split_face(_read_presentation(args.file), args.boundary, args.p, args.q))
-
-
-def _cmd_join(args) -> int:
-    return _emit(join_vertices(_read_presentation(args.file), args.c1, args.c2))
-
-
-def _cmd_delete_vertex(args) -> int:
-    return _emit(delete_vertex(_read_presentation(args.file), args.circle))
+def _cmd_move(args) -> int:
+    g = _read_presentation(args.file)
+    names = MinorMove.KINDS[args.kind][1]
+    return _emit(MinorMove(args.kind, tuple(getattr(args, n) for n in names)).apply(g))
 
 
 def _cmd_minor(args) -> int:
@@ -128,12 +98,12 @@ def _cmd_minor(args) -> int:
     return 0
 
 
+def _spec(args) -> EnumerationSpec:
+    return EnumerationSpec(args.max_edges, args.max_circles, not args.include_disconnected)
+
+
 def _cmd_verify(args) -> int:
-    spec = EnumerationSpec(
-        max_edges=args.max_edges,
-        max_circles=args.max_circles,
-        connected_only=not args.include_disconnected,
-    )
+    spec = _spec(args)
     if args.check_id in CHECKS:
         report = verify_theorem(args.check_id, spec)
     elif args.check_id in LEMMAS:
@@ -152,12 +122,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    spec = EnumerationSpec(
-        max_edges=args.max_edges,
-        max_circles=args.max_circles,
-        connected_only=not args.include_disconnected,
-    )
-    for g in enumerate_presentations(spec):
+    for g in enumerate_presentations(_spec(args)):
         print(g.to_text())
     return 0
 
@@ -167,9 +132,20 @@ def _add_input(p: argparse.ArgumentParser) -> None:
 
 
 def _add_bounds(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-edges", type=int, default=3)
-    p.add_argument("--max-circles", type=int, default=4)
+    p.add_argument("--max-edges", type=int, default=EnumerationSpec.max_edges)
+    p.add_argument("--max-circles", type=int, default=EnumerationSpec.max_circles)
     p.add_argument("--include-disconnected", action="store_true")
+
+
+_MOVE_HELP = {
+    "contract": "contract an edge",
+    "delete": "delete an edge",
+    "delete-component": "delete a connected component by index",
+    "split-vertex": "evenly split a vertex at two gaps",
+    "split-face": "evenly split a face at two vertex line segments",
+    "join": "join two vertices",
+    "delete-vertex": "delete a vertex and its incident edges",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -192,45 +168,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edges", required=True, help="comma-separated edge labels")
     p.set_defaults(fn=_cmd_pdual)
 
-    p = sub.add_parser("contract", help="contract an edge")
-    p.add_argument("edge")
-    _add_input(p)
-    p.set_defaults(fn=_cmd_contract)
-
-    p = sub.add_parser("delete", help="delete an edge")
-    p.add_argument("edge")
-    _add_input(p)
-    p.set_defaults(fn=_cmd_delete)
-
-    p = sub.add_parser("delete-component", help="delete a connected component by index")
-    p.add_argument("component", type=int)
-    _add_input(p)
-    p.set_defaults(fn=_cmd_delete_component)
-
-    p = sub.add_parser("split-vertex", help="evenly split a vertex at two gaps")
-    p.add_argument("circle", type=int)
-    p.add_argument("p", type=int)
-    p.add_argument("q", type=int)
-    _add_input(p)
-    p.set_defaults(fn=_cmd_split_vertex)
-
-    p = sub.add_parser("split-face", help="evenly split a face at two vertex line segments")
-    p.add_argument("boundary", type=int)
-    p.add_argument("p", type=int)
-    p.add_argument("q", type=int)
-    _add_input(p)
-    p.set_defaults(fn=_cmd_split_face)
-
-    p = sub.add_parser("join", help="join two vertices")
-    p.add_argument("c1", type=int)
-    p.add_argument("c2", type=int)
-    _add_input(p)
-    p.set_defaults(fn=_cmd_join)
-
-    p = sub.add_parser("delete-vertex", help="delete a vertex and its incident edges")
-    p.add_argument("circle", type=int)
-    _add_input(p)
-    p.set_defaults(fn=_cmd_delete_vertex)
+    for kind, (_, names) in MinorMove.KINDS.items():
+        p = sub.add_parser(kind, help=_MOVE_HELP[kind])
+        for name in names:
+            p.add_argument(name, type=str if name == "edge" else int)
+        _add_input(p)
+        p.set_defaults(fn=_cmd_move, kind=kind)
 
     p = sub.add_parser("minor", help="decide minor containment; prints a witness")
     _add_input(p)

@@ -369,28 +369,27 @@ def is_permissible_join(g: ArrowPresentation, c1: int, c2: int) -> bool:
 class MinorMove:
     """One atomic move, replayable against a concrete presentation.
 
-    Kinds and parameters: ``contract``/``delete`` (edge label),
-    ``delete-component`` (component index), ``delete-vertex`` (circle),
-    ``split-vertex`` (circle, gap, gap), ``split-face`` (boundary, position,
-    position), ``join`` (circle, circle).
+    ``KINDS`` maps each kind to its move function and parameter names: an
+    ``edge`` is a label, every other parameter is an integer (a component,
+    circle or boundary index, or a gap or walk position).
     """
 
     kind: str
     params: tuple
 
-    _APPLY = {
-        "contract": contract_edge,
-        "delete": delete_edge,
-        "delete-component": delete_component,
-        "delete-vertex": delete_vertex,
-        "split-vertex": split_vertex,
-        "split-face": split_face,
-        "join": join_vertices,
+    KINDS = {
+        "contract": (contract_edge, ("edge",)),
+        "delete": (delete_edge, ("edge",)),
+        "delete-component": (delete_component, ("component",)),
+        "split-vertex": (split_vertex, ("circle", "p", "q")),
+        "split-face": (split_face, ("boundary", "p", "q")),
+        "join": (join_vertices, ("c1", "c2")),
+        "delete-vertex": (delete_vertex, ("circle",)),
     }
 
     def apply(self, g: ArrowPresentation) -> ArrowPresentation:
         try:
-            fn = self._APPLY[self.kind]
+            fn = self.KINDS[self.kind][0]
         except KeyError:
             raise ArpError(f"unknown move kind {self.kind!r}") from None
         return fn(g, *self.params)
@@ -404,15 +403,15 @@ class MinorMove:
         if not parts:
             raise ArpError("empty move line")
         kind, args = parts[0], parts[1:]
-        if kind in ("contract", "delete"):
+        if kind not in cls.KINDS:
+            raise ArpError(f"unknown move kind {kind!r}")
+        names = cls.KINDS[kind][1]
+        if names == ("edge",):
             if len(args) != 1:
                 raise ArpError(f"move {kind!r} takes one edge label")
             return cls(kind, (args[0],))
-        arity = {"delete-component": 1, "delete-vertex": 1, "split-vertex": 3, "split-face": 3, "join": 2}
-        if kind not in arity:
-            raise ArpError(f"unknown move kind {kind!r}")
-        if len(args) != arity[kind]:
-            raise ArpError(f"move {kind!r} takes {arity[kind]} integer parameters")
+        if len(args) != len(names):
+            raise ArpError(f"move {kind!r} takes {len(names)} integer parameters")
         try:
             return cls(kind, tuple(int(a) for a in args))
         except ValueError:

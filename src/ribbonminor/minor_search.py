@@ -346,6 +346,15 @@ def bipartite_by_join_minors(g: ArrowPresentation) -> bool:
     return _excludes(g, MinorFamily.BIPARTITE_JOIN, ("orientable_loop", "nonorientable_loop"))
 
 
+def _excludes_listed(g: ArrowPresentation, family: str, lists: dict) -> bool:
+    """_excludes with the target list that ``lists`` gives the family; any
+    other family is an ArpError naming the allowed ones in the dict's order."""
+    fam = MinorFamily.parse(family)
+    if fam not in lists:
+        raise ArpError("family must be " + " or ".join(repr(f.value) for f in lists))
+    return _excludes(g, fam, lists[fam])
+
+
 _PLANE_CC_TARGETS = ("triple_interleaved_loops", "twisted_interleaved_loops")
 _PLANE_BIP_TARGETS = ("triple_interleaved_loops_dual", "twisted_interleaved_loops_dual")
 
@@ -353,63 +362,31 @@ _PLANE_BIP_TARGETS = ("triple_interleaved_loops_dual", "twisted_interleaved_loop
 def plane_cc_by_excluded_minors(g: ArrowPresentation, family: str = "cc") -> bool:
     """For checkerboard colourable g: planarity via excluded minors of the
     checkerboard-colourable (default) or Eulerian family."""
-    fam = MinorFamily.parse(family)
-    if fam not in (MinorFamily.CHECKERBOARD, MinorFamily.EULERIAN):
-        raise ArpError("family must be 'cc' or 'eulerian'")
-    return _excludes(g, fam, _PLANE_CC_TARGETS)
+    return _excludes_listed(g, family, {MinorFamily.CHECKERBOARD: _PLANE_CC_TARGETS,
+                                        MinorFamily.EULERIAN: _PLANE_CC_TARGETS})
 
 
 def plane_bipartite_by_excluded_minors(g: ArrowPresentation, family: str = "bipartite") -> bool:
     """For bipartite g: planarity via excluded minors of the bipartite
     (default) or even-face family."""
-    fam = MinorFamily.parse(family)
-    if fam not in (MinorFamily.BIPARTITE, MinorFamily.EVEN_FACE):
-        raise ArpError("family must be 'bipartite' or 'even-face'")
-    return _excludes(g, fam, _PLANE_BIP_TARGETS)
+    return _excludes_listed(g, family, {MinorFamily.BIPARTITE: _PLANE_BIP_TARGETS,
+                                        MinorFamily.EVEN_FACE: _PLANE_BIP_TARGETS})
 
 
 def cc_plane_by_excluded_minors(g: ArrowPresentation, family: str = "cc") -> bool:
     """Checkerboard colourable *and* plane, via a single enlarged exclusion
     list, with no precondition on g."""
-    fam = MinorFamily.parse(family)
-    if fam is MinorFamily.EULERIAN:
-        names = (
-            "single_edge",
-            "nonorientable_loop",
-            "triple_interleaved_loops",
-            "double_interleaved_loops",
-            "twisted_interleaved_loops",
-        )
-    elif fam is MinorFamily.CHECKERBOARD:
-        names = (
-            "single_edge",
-            "nonorientable_loop",
-            "triple_interleaved_loops",
-            "twisted_interleaved_loops",
-        )
-    else:
-        raise ArpError("family must be 'cc' or 'eulerian'")
-    return _excludes(g, fam, names)
+    return _excludes_listed(g, family, {
+        MinorFamily.CHECKERBOARD: ("single_edge", "nonorientable_loop", *_PLANE_CC_TARGETS),
+        MinorFamily.EULERIAN: ("single_edge", "nonorientable_loop", "triple_interleaved_loops",
+                               "double_interleaved_loops", "twisted_interleaved_loops"),
+    })
 
 
 def bipartite_plane_by_excluded_minors(g: ArrowPresentation, family: str = "bipartite") -> bool:
     """Bipartite *and* plane, via a single enlarged exclusion list."""
-    fam = MinorFamily.parse(family)
-    if fam is MinorFamily.EVEN_FACE:
-        names = (
-            "orientable_loop",
-            "nonorientable_loop",
-            "triple_interleaved_loops_dual",
-            "double_interleaved_loops",
-            "twisted_interleaved_loops_dual",
-        )
-    elif fam is MinorFamily.BIPARTITE:
-        names = (
-            "orientable_loop",
-            "nonorientable_loop",
-            "triple_interleaved_loops_dual",
-            "twisted_interleaved_loops_dual",
-        )
-    else:
-        raise ArpError("family must be 'bipartite' or 'even-face'")
-    return _excludes(g, fam, names)
+    return _excludes_listed(g, family, {
+        MinorFamily.BIPARTITE: ("orientable_loop", "nonorientable_loop", *_PLANE_BIP_TARGETS),
+        MinorFamily.EVEN_FACE: ("orientable_loop", "nonorientable_loop", "triple_interleaved_loops_dual",
+                                "double_interleaved_loops", "twisted_interleaved_loops_dual"),
+    })

@@ -56,15 +56,24 @@ _MAX_SUPPORTED_EDGES = 4
 @dataclass(frozen=True)
 class EnumerationSpec:
     """Bounds for exhaustive enumeration, one representative per equivalence
-    class; see the README for the time and memory each bound takes."""
+    class; see the README for the time and memory each bound takes.
+
+    ``max_circles`` defaults to ``max_edges + 1``, the most circles a
+    connected class can have, so the default leaves no connected class out.
+
+    >>> EnumerationSpec(4) == EnumerationSpec(4, 5)
+    True
+    """
 
     max_edges: int = 3
-    max_circles: int = 4
+    max_circles: int | None = None
     connected_only: bool = True
 
     def __post_init__(self):
         if not 0 <= self.max_edges <= _MAX_SUPPORTED_EDGES:
             raise ArpError(f"max_edges must be between 0 and {_MAX_SUPPORTED_EDGES}")
+        if self.max_circles is None:
+            object.__setattr__(self, "max_circles", self.max_edges + 1)
         if self.max_circles < 1:
             raise ArpError("max_circles must be positive")
 
@@ -236,7 +245,9 @@ def verify_theorem(check_id: str, spec: EnumerationSpec = EnumerationSpec()) -> 
 # ---------------------------------------------------------------------------
 
 
-def _closure_check(g, families, predicate) -> tuple[int, int]:
+def _closure_check(g, families, predicate) -> tuple[int, int] | None:
+    if not predicate(g):
+        return None
     checked = violations = 0
     for fam in families:
         for mv in applicable_moves(g, fam):
@@ -246,21 +257,7 @@ def _closure_check(g, families, predicate) -> tuple[int, int]:
     return checked, violations
 
 
-def _lemma_cc_closure(g):
-    if not is_checkerboard_colourable(g):
-        return None
-    return _closure_check(
-        g, (MinorFamily.CHECKERBOARD, MinorFamily.EULERIAN), is_checkerboard_colourable
-    )
-
-
-def _lemma_bipartite_closure(g):
-    if not is_bipartite(g):
-        return None
-    return _closure_check(g, (MinorFamily.BIPARTITE, MinorFamily.EVEN_FACE), is_bipartite)
-
-
-def _lemma_genus_contract_delete(g):
+def _genus_contract_delete_check(g) -> tuple[int, int]:
     checked = violations = 0
     base = euler_genus(g)
     for e in g.labels:
@@ -279,16 +276,6 @@ def _genus_check(g, family) -> tuple[int, int]:
     return len(moves), sum(euler_genus(mv.apply(g)) > base for mv in moves)
 
 
-def _lemma_genus_eulerian(g):
-    return _genus_check(g, MinorFamily.EULERIAN)
-
-
-def _lemma_genus_cc(g):
-    # empirical only: monotonicity for the checkerboard family (which also
-    # allows improper contractions) is observed, not a stated law
-    return _genus_check(g, MinorFamily.CHECKERBOARD)
-
-
 def _transport_check(g, family, dual_family) -> tuple[int, int]:
     star = geometric_dual(g)
     direct = {canonicalize(geometric_dual(mv.apply(g))) for mv in applicable_moves(g, family)}
@@ -296,22 +283,22 @@ def _transport_check(g, family, dual_family) -> tuple[int, int]:
     return 1, int(direct != transported)
 
 
-def _lemma_dual_transport_eulerian(g):
-    return _transport_check(g, MinorFamily.EULERIAN, MinorFamily.EVEN_FACE)
-
-
-def _lemma_dual_transport_cc(g):
-    return _transport_check(g, MinorFamily.CHECKERBOARD, MinorFamily.BIPARTITE)
-
-
+# id -> g -> (moves checked, violations), or None when g is outside the
+# lemma's class.  Lambdas, as in CHECKS, look the predicates up when called.
 LEMMAS = {
-    "cc-closure": _lemma_cc_closure,
-    "bipartite-closure": _lemma_bipartite_closure,
-    "genus-contract-delete": _lemma_genus_contract_delete,
-    "genus-eulerian": _lemma_genus_eulerian,
-    "genus-cc": _lemma_genus_cc,
-    "dual-transport-eulerian": _lemma_dual_transport_eulerian,
-    "dual-transport-cc": _lemma_dual_transport_cc,
+    "cc-closure": lambda g: _closure_check(
+        g, (MinorFamily.CHECKERBOARD, MinorFamily.EULERIAN), is_checkerboard_colourable
+    ),
+    "bipartite-closure": lambda g: _closure_check(
+        g, (MinorFamily.BIPARTITE, MinorFamily.EVEN_FACE), is_bipartite
+    ),
+    "genus-contract-delete": _genus_contract_delete_check,
+    "genus-eulerian": lambda g: _genus_check(g, MinorFamily.EULERIAN),
+    # empirical only: monotonicity for the checkerboard family (which also
+    # allows improper contractions) is observed, not a stated law
+    "genus-cc": lambda g: _genus_check(g, MinorFamily.CHECKERBOARD),
+    "dual-transport-eulerian": lambda g: _transport_check(g, MinorFamily.EULERIAN, MinorFamily.EVEN_FACE),
+    "dual-transport-cc": lambda g: _transport_check(g, MinorFamily.CHECKERBOARD, MinorFamily.BIPARTITE),
 }
 
 

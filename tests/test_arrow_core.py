@@ -271,3 +271,21 @@ def test_single_circle_reversal_preserves_everything(sweep2):
             for pred in (is_eulerian, is_even_face, is_checkerboard_colourable, is_bipartite, is_plane):
                 assert pred(h) == pred(g), (g, ci, pred.__name__)
             assert is_equivalent(g, h)
+
+
+def test_canonicalize_memory_on_long_path():
+    # the canonical search keeps only the ties of each level's least
+    # encoding, not every circle variant: a 100-circle path stays small
+    import tracemalloc
+
+    n = 100
+    text = "\n".join(["m0+"] + [f"m{i}+ m{i + 1}+" for i in range(n - 2)] + [f"m{n - 2}+"])
+    g = parse_arp(text)
+    tracemalloc.start()
+    try:
+        canon = canonicalize(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+    assert canon.count("(") == n

@@ -1,5 +1,16 @@
-from ribbonminor import canonicalize, is_equivalent, parse_arp
-from ribbonminor.cli import main
+import pytest
+
+from ribbonminor import (
+    EnumerationSpec,
+    MinorFamily,
+    MinorMove,
+    applicable_moves,
+    canonicalize,
+    format_arp,
+    is_equivalent,
+    parse_arp,
+)
+from ribbonminor.cli import _spec, build_parser, main
 
 
 def _write(tmp_path, name, text):
@@ -167,3 +178,38 @@ def test_info_many_isolated_circles(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "V=1100 E=0 F=1100" in out
     assert out.endswith("canonical: " + "()" * 1100 + "\n")
+
+
+# one successful move of each kind on a bouquet of two interleaved loops and a
+# separate edge
+_MOVE_INPUT = "a+ b+ a+ b+\nc+\nc+\n"
+_MOVE_PARAMS = {
+    "contract": ("a",),
+    "delete": ("c",),
+    "delete-component": (1,),
+    "split-vertex": (0, 0, 2),
+    "split-face": (0, 0, 4),
+    "join": (0, 1),
+    "delete-vertex": (1,),
+}
+
+
+@pytest.mark.parametrize("kind", list(MinorMove.KINDS))
+def test_move_subcommand_matches_move_record(kind, tmp_path, capsys, sweep2):
+    mv = MinorMove(kind, _MOVE_PARAMS[kind])
+    path = _write(tmp_path, "g.arp", _MOVE_INPUT)
+    assert main([kind, *map(str, mv.params), path]) == 0
+    out, err = capsys.readouterr()
+    assert out == format_arp(mv.apply(parse_arp(_MOVE_INPUT))) and err == ""
+    moves = [m for g in sweep2 for fam in MinorFamily for m in applicable_moves(g, fam) if m.kind == kind]
+    assert moves
+    for m in moves:
+        assert MinorMove.parse(str(m)) == m
+
+
+def test_bounds_default_to_enumeration_spec():
+    parser = build_parser()
+    assert _spec(parser.parse_args(["enumerate"])) == EnumerationSpec()
+    assert _spec(parser.parse_args(["verify", "T1", "--max-edges", "4"])) == EnumerationSpec(4, 5)
+    args = parser.parse_args(["enumerate", "--max-edges", "2", "--max-circles", "2", "--include-disconnected"])
+    assert _spec(args) == EnumerationSpec(2, 2, False)

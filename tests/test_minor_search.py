@@ -176,6 +176,21 @@ def test_plane_predicates_examples():
         plane_cc_by_excluded_minors(P("(e+ e+)"), "join")
 
 
+@pytest.mark.parametrize(
+    "predicate, allowed",
+    [
+        (plane_cc_by_excluded_minors, "'cc' or 'eulerian'"),
+        (plane_bipartite_by_excluded_minors, "'bipartite' or 'even-face'"),
+        (cc_plane_by_excluded_minors, "'cc' or 'eulerian'"),
+        (bipartite_plane_by_excluded_minors, "'bipartite' or 'even-face'"),
+    ],
+)
+def test_family_taking_predicates_name_allowed_families(predicate, allowed):
+    for family in ("join", "bipartite" if "cc" in allowed else "cc"):
+        with pytest.raises(ArpError, match=f"^family must be {allowed}$"):
+            predicate(P("(e+ e+)"), family)
+
+
 def test_combined_predicates_match_conjunction_spot():
     from ribbonminor import is_bipartite, is_checkerboard_colourable, is_plane
 

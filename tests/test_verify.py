@@ -127,6 +127,17 @@ def test_enumeration_memo_growth_is_per_class():
     assert graph_growth <= 2 * n_classes
 
 
+def test_enumeration_spec_default_circle_bound():
+    # a connected class of E edges has at most E + 1 circles
+    assert EnumerationSpec(4) == EnumerationSpec(4, 5)
+    assert EnumerationSpec() == EnumerationSpec(3, 4, True)
+    assert EnumerationSpec(0).max_circles == 1
+    assert EnumerationSpec(4, 4).max_circles == 4
+    for e in range(4):
+        default = enumerate_presentations(EnumerationSpec(e))
+        assert default == enumerate_presentations(EnumerationSpec(e, e + 2))
+
+
 def test_enumeration_spec_validation():
     with pytest.raises(ArpError):
         EnumerationSpec(5, 4, True)
