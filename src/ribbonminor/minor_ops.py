@@ -293,8 +293,11 @@ def can_split_face(g: ArrowPresentation, b: int, p: int, q: int) -> bool:
             raise ArpError(f"position {pos} is not a vertex line segment")
     if p == q:
         return True
-    k, m = _boundary_arc_edge_counts(comp, p, q)
-    return not (k % 2 == 1 and m % 2 == 1)
+    # a walk alternates vertex and edge line segments, so the two arcs
+    # between vertex positions p and q carry k and n - k of its n edge line
+    # segments
+    k = abs(q - p) // 2
+    return not (k % 2 == 1 and (comp.n_edge_segments() - k) % 2 == 1)
 
 
 def split_face(g: ArrowPresentation, b: int, p: int, q: int) -> ArrowPresentation:
@@ -389,10 +392,19 @@ class MinorMove:
 
     def apply(self, g: ArrowPresentation) -> ArrowPresentation:
         try:
-            fn = self.KINDS[self.kind][0]
+            fn, names = self.KINDS[self.kind]
         except KeyError:
             raise ArpError(f"unknown move kind {self.kind!r}") from None
+        if len(self.params) != len(names):
+            raise self._arity_error(self.kind)
         return fn(g, *self.params)
+
+    @classmethod
+    def _arity_error(cls, kind: str) -> ArpError:
+        names = cls.KINDS[kind][1]
+        if names == ("edge",):
+            return ArpError(f"move {kind!r} takes one edge label")
+        return ArpError(f"move {kind!r} takes {len(names)} integer parameters")
 
     def __str__(self) -> str:
         return " ".join([self.kind, *map(str, self.params)])
@@ -406,12 +418,10 @@ class MinorMove:
         if kind not in cls.KINDS:
             raise ArpError(f"unknown move kind {kind!r}")
         names = cls.KINDS[kind][1]
-        if names == ("edge",):
-            if len(args) != 1:
-                raise ArpError(f"move {kind!r} takes one edge label")
-            return cls(kind, (args[0],))
         if len(args) != len(names):
-            raise ArpError(f"move {kind!r} takes {len(names)} integer parameters")
+            raise cls._arity_error(kind)
+        if names == ("edge",):
+            return cls(kind, (args[0],))
         try:
             return cls(kind, tuple(int(a) for a in args))
         except ValueError:

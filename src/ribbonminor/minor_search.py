@@ -10,6 +10,12 @@ edge deletions.  Containment is decided by breadth-first search over
 canonical forms; for the join family two presentations count as equal when
 their underlying abstract graphs are isomorphic, since joins only ever feed
 abstract-graph predicates.
+
+One search serves :func:`contains_minor` and :func:`minor_witness`.  Its
+pruning depends only on the state and the target, never on where the
+search started (the rule and its proof are in :func:`_search`), so a
+search that runs out records every state it reached as not containing the
+target, and later searches skip those states.
 """
 
 from __future__ import annotations
@@ -170,72 +176,98 @@ def _state_key(g: ArrowPresentation, family: MinorFamily):
     return canonicalize(g)
 
 
-def _search(g: ArrowPresentation, h: ArrowPresentation, family: MinorFamily, want_witness: bool):
+#: (family, state key, target key) -> whether the state contains the target.
+#: contains_minor stores its answers here, and every search that runs out
+#: stores False for each state it reached, since what a state reaches
+#: depends only on the state and the target.
+_contains_cache: dict[tuple, bool] = {}
+
+
+def _memo_key(g: ArrowPresentation, h: ArrowPresentation, family: MinorFamily) -> tuple:
     family = MinorFamily(family)
     # join-family moves never add a vertex, so the inputs bound every state
     n = max(g.n_vertices, h.n_vertices)
     if family is MinorFamily.BIPARTITE_JOIN and n > MAX_KEY_VERTICES:
         raise ArpError(f"the join family compares underlying graphs, which is supported "
                        f"for at most {MAX_KEY_VERTICES} vertices; got {n} vertices")
-    target = _state_key(h, family)
-    start = canonical_presentation(g)
-    # Finiteness caps: vertex counts are bounded (splits add one vertex at a
-    # time and surplus isolated vertices are useless), and no move ever adds
-    # an edge.  Euler genus never increases along Eulerian-family moves, so
-    # it prunes that family too.
-    vcap = g.n_vertices + g.n_edges + h.n_vertices
-    isocap = max(_isolated_count(start), h.n_vertices)
-    emin = h.n_edges
+    return family, _state_key(g, family), _state_key(h, family)
+
+
+def _search(g: ArrowPresentation, h: ArrowPresentation, family: MinorFamily):
+    """A shortest move sequence from g's canonical form to h, or None.
+
+    Breadth-first over canonical forms.  No state below h is expanded, the
+    start included: one with fewer edges than h, or with lower Euler genus
+    than h in the Eulerian family (no move adds an edge, and Eulerian moves
+    never raise the genus).  A successor is also skipped when its move
+    keeps the edge count and takes the number of isolated circles further
+    from h's, or when ``_contains_cache`` records it False.
+
+    The isolated-circle rule is sound and keeps the search finite:
+
+    * Finiteness.  No move adds an edge; a state has at most 2E
+      non-isolated circles and at most 2E faces that meet an edge.  An
+      isolated circle appears only from a move that removes an edge, or
+      from a p == q split while the state has fewer isolated circles than
+      h.  Join-family moves always lower E + V.
+    * Shortest witnesses are kept.  Isolated circles are interchangeable,
+      leave every other move's legality, edge count and genus alone, and go
+      only by deletion.  A p == q split made when the state already has at
+      least as many isolated circles as h must be undone by a later
+      isolated deletion, so dropping both moves gives a shorter path.  An
+      isolated deletion at or below h's count can be moved to the end
+      without changing the length.
+
+    So every pruned move can be bypassed, what a state reaches depends only
+    on the state and h, and a search that runs out shows that no state it
+    reached contains h.
+    """
+    family, start_key, target = _memo_key(g, h, family)
+    if start_key == target:
+        return []
+    iso_h = _isolated_count(h)
     gmin = euler_genus(h) if family is MinorFamily.EULERIAN else None
 
-    def pruned(s: ArrowPresentation) -> bool:
-        if s.n_edges < emin or s.n_vertices > vcap or _isolated_count(s) > isocap:
-            return True
-        return gmin is not None and euler_genus(s) < gmin
+    def below_h(s: ArrowPresentation) -> bool:
+        return s.n_edges < h.n_edges or (gmin is not None and euler_genus(s) < gmin)
 
-    start_key = _state_key(start, family)
-    if start_key == target:
-        return [] if want_witness else True
-    if pruned(start):
-        return None if want_witness else False
+    start = canonical_presentation(g)
     seen = {start_key}
     parents: dict = {}
-    queue = deque([start])
+    queue = deque([] if below_h(start) else [start])
     while queue:
         state = queue.popleft()
         skey = _state_key(state, family)
+        iso_gap = abs(_isolated_count(state) - iso_h)
         for mv, nxt in _successors(state, family):
-            if pruned(nxt):
+            if below_h(nxt):
+                continue
+            if nxt.n_edges == state.n_edges and abs(_isolated_count(nxt) - iso_h) > iso_gap:
                 continue
             nkey = _state_key(nxt, family)
-            if nkey in seen:
+            if nkey in seen or _contains_cache.get((family, nkey, target)) is False:
                 continue
             seen.add(nkey)
             parents[nkey] = (skey, mv)
             if nkey == target:
-                if not want_witness:
-                    return True
                 moves = []
-                k = nkey
-                while k != start_key:
-                    k, m = parents[k]
-                    moves.append(m)
-                return list(reversed(moves))
+                while nkey != start_key:
+                    nkey, mv = parents[nkey]
+                    moves.append(mv)
+                return moves[::-1]
             queue.append(nxt)
-    return None if want_witness else False
-
-
-_contains_cache: dict[tuple, bool] = {}
+    for key in seen:
+        _contains_cache[(family, key, target)] = False
+    return None
 
 
 def contains_minor(g: ArrowPresentation, h: ArrowPresentation, family: MinorFamily) -> bool:
     """Whether some sequence of family moves turns g into a presentation
     equivalent to h (underlying-graph isomorphism for the join family)."""
-    family = MinorFamily(family)
-    key = (family, canonicalize(g), canonicalize(h))
+    key = _memo_key(g, h, family)
     got = _contains_cache.get(key)
     if got is None:
-        got = _search(g, h, family, want_witness=False)
+        got = _search(g, h, key[0]) is not None
         _contains_cache[key] = got
     return got
 
@@ -247,7 +279,7 @@ def minor_witness(g, h, family: MinorFamily):
     from the canonical form of g; :func:`replay_witness` follows the same
     convention.
     """
-    return _search(g, h, MinorFamily(family), want_witness=True)
+    return _search(g, h, family)
 
 
 def replay_witness(g: ArrowPresentation, moves) -> ArrowPresentation:

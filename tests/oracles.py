@@ -5,14 +5,15 @@ different code path: boundary structure via a networkx multigraph on arrow
 endpoints, and equivalence via explicit enumeration of relabellings, edge
 flips, rotations and reversals; canonical forms via the edge-flip mask
 loop; the enumeration by canonicalising every candidate; boundary tracing
-and partial duality via two separate endpoint walks; and three test-only
-kernels: the direct deletion properness test, the literal vertex split and
-the trivial-loop test.
+and partial duality via two separate endpoint walks; four test-only
+kernels: the direct deletion properness test, the literal vertex split,
+the counted face-split gate and the trivial-loop test; and the minor search
+with its first, start-dependent caps.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import defaultdict, deque
 from itertools import combinations, permutations
 from typing import Iterable
 
@@ -28,11 +29,13 @@ from ribbonminor import (
     canonical_presentation,
     canonicalize,
     contract_edge,
+    euler_genus,
     trace_boundaries,
     underlying_graph,
 )
-from ribbonminor.arrow_core import Segment
+from ribbonminor.arrow_core import MAX_KEY_VERTICES, Segment
 from ribbonminor.minor_ops import _boundary_arc_edge_counts, _check_label, _fresh_label
+from ribbonminor.minor_search import MinorFamily, _isolated_count, _state_key, _successors
 from ribbonminor.verify import _compositions, _words
 
 
@@ -443,7 +446,8 @@ def endpoint_partial_dual(g: ArrowPresentation, edges: Iterable[str]) -> ArrowPr
 
 
 # Kernels only the tests use, kept as independent cross-checks of the
-# library's properness test for deletion, its vertex split and its loops.
+# library's properness test for deletion, its vertex split, its face-split
+# gate and its loops.
 
 
 def is_proper_deletion_direct(g: ArrowPresentation, e: str) -> bool:
@@ -489,6 +493,16 @@ def split_vertex_via_insertion(g: ArrowPresentation, circle: int, p: int, q: int
     return contract_edge(inserted, x)
 
 
+def can_split_face_counted(g: ArrowPresentation, b: int, p: int, q: int) -> bool:
+    """The even face-split gate as first written, for vertex positions p and
+    q of boundary component b: count the edge line segments on both arcs
+    between them and reject two odd counts."""
+    if p == q:
+        return True
+    k, m = _boundary_arc_edge_counts(trace_boundaries(g)[b], p, q)
+    return not (k % 2 == 1 and m % 2 == 1)
+
+
 def is_trivial_loop(g: ArrowPresentation, e: str) -> bool:
     """For a bouquet, whether no other loop's occurrences interleave with e's.
 
@@ -508,3 +522,64 @@ def is_trivial_loop(g: ArrowPresentation, e: str) -> bool:
         if (p1 < q1 < p2) != (p1 < q2 < p2):
             return False
     return True
+
+
+# The minor search as first written, with start-dependent caps on the vertex
+# count (vcap) and on isolated circles (isocap), and a flag choosing between
+# a boolean and a witness.  The library's single search must agree with it
+# on containment and witness lengths.
+
+
+def capped_minor_search(g: ArrowPresentation, h: ArrowPresentation, family: MinorFamily, want_witness: bool):
+    family = MinorFamily(family)
+    # join-family moves never add a vertex, so the inputs bound every state
+    n = max(g.n_vertices, h.n_vertices)
+    if family is MinorFamily.BIPARTITE_JOIN and n > MAX_KEY_VERTICES:
+        raise ArpError(f"the join family compares underlying graphs, which is supported "
+                       f"for at most {MAX_KEY_VERTICES} vertices; got {n} vertices")
+    target = _state_key(h, family)
+    start = canonical_presentation(g)
+    # Finiteness caps: vertex counts are bounded (splits add one vertex at a
+    # time and surplus isolated vertices are useless), and no move ever adds
+    # an edge.  Euler genus never increases along Eulerian-family moves, so
+    # it prunes that family too.
+    vcap = g.n_vertices + g.n_edges + h.n_vertices
+    isocap = max(_isolated_count(start), h.n_vertices)
+    emin = h.n_edges
+    gmin = euler_genus(h) if family is MinorFamily.EULERIAN else None
+
+    def pruned(s: ArrowPresentation) -> bool:
+        if s.n_edges < emin or s.n_vertices > vcap or _isolated_count(s) > isocap:
+            return True
+        return gmin is not None and euler_genus(s) < gmin
+
+    start_key = _state_key(start, family)
+    if start_key == target:
+        return [] if want_witness else True
+    if pruned(start):
+        return None if want_witness else False
+    seen = {start_key}
+    parents: dict = {}
+    queue = deque([start])
+    while queue:
+        state = queue.popleft()
+        skey = _state_key(state, family)
+        for mv, nxt in _successors(state, family):
+            if pruned(nxt):
+                continue
+            nkey = _state_key(nxt, family)
+            if nkey in seen:
+                continue
+            seen.add(nkey)
+            parents[nkey] = (skey, mv)
+            if nkey == target:
+                if not want_witness:
+                    return True
+                moves = []
+                k = nkey
+                while k != start_key:
+                    k, m = parents[k]
+                    moves.append(m)
+                return list(reversed(moves))
+            queue.append(nxt)
+    return None if want_witness else False

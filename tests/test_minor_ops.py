@@ -27,7 +27,7 @@ from ribbonminor import (
     vls_dual_distance,
 )
 from ribbonminor.minor_search import MinorFamily, applicable_moves
-from oracles import is_proper_deletion_direct, split_vertex_via_insertion
+from oracles import can_split_face_counted, is_proper_deletion_direct, split_vertex_via_insertion
 
 P = parse_arp
 
@@ -205,6 +205,15 @@ def test_split_face_p_equals_q_always_valid(sweep2):
                 assert res.n_vertices == g.n_vertices + 1
 
 
+def test_face_split_gate_matches_counted_arcs(sweep3):
+    for g in sweep3:
+        for bi, b in enumerate(trace_boundaries(g)):
+            vpos = b.vertex_positions()
+            for p in vpos:
+                for q in vpos:
+                    assert can_split_face(g, bi, p, q) == can_split_face_counted(g, bi, p, q), (g, bi, p, q)
+
+
 def test_split_face_preserves_bipartite(sweep2):
     for g in sweep2:
         if not is_bipartite(g):
@@ -299,3 +308,15 @@ def test_minor_move_apply_dispatch():
     g = P("(a+ b+ a+ b+)")
     assert MinorMove("delete", ("a",)).apply(g).to_text() == "(b+ b+)"
     assert MinorMove("split-vertex", (0, 0, 2)).apply(g) == split_vertex(g, 0, 0, 2)
+
+
+@pytest.mark.parametrize("kind", sorted(MinorMove.KINDS))
+def test_minor_move_apply_checks_parameter_count(kind):
+    names = MinorMove.KINDS[kind][1]
+    short = ("a",) if names == ("edge",) else (0,) * len(names)
+    with pytest.raises(ArpError) as parsed:
+        MinorMove.parse(" ".join([kind, *map(str, short[1:])]))
+    with pytest.raises(ArpError) as applied:
+        MinorMove(kind, short[1:]).apply(P("(a+ b+)(a+ b+)"))
+    assert str(applied.value) == str(parsed.value)
+    assert str(applied.value).startswith(f"move {kind!r} takes ")

@@ -20,7 +20,11 @@ from ribbonminor import (
     plane_cc_by_excluded_minors,
     replay_witness,
     target_catalog,
+    underlying_graph,
 )
+from ribbonminor import minor_search
+from ribbonminor.verify import EnumerationSpec, enumerate_presentations
+from oracles import capped_minor_search
 
 P = parse_arp
 
@@ -77,6 +81,83 @@ def test_contains_minor_with_isolated_start():
     # a start owning more isolated vertices than the target must still reduce
     g = P("(e+ e+)()()()")
     assert contains_minor(g, P("(e+ e+)"), MinorFamily.CHECKERBOARD)
+
+
+def _same_state(g, h, family):
+    if family is MinorFamily.BIPARTITE_JOIN:
+        return underlying_graph(g).canonical_key() == underlying_graph(h).canonical_key()
+    return is_equivalent(g, h)
+
+
+# witness length per family, in MinorFamily order, or None where g does not
+# contain h; each case turns on the isolated-circle pruning rule
+_ISOLATED_CASES = [
+    ("(e+ e+)", "(e+ e+)()", (1, 1, 1, 1, None)),
+    ("()", "()()", (1, 1, 1, 1, None)),
+    ("()", "", (1, 1, 1, 1, 1)),
+    ("", "()", (None, None, None, None, None)),
+    ("(a+)(a+)", "()()()", (3, 2, 3, 2, None)),
+    ("(e+ e+)()()()", "(e+ e+)", (3, 3, 3, 3, 3)),
+]
+
+
+@pytest.mark.parametrize("g, h, lengths", _ISOLATED_CASES)
+def test_isolated_circles_and_empty_graph(g, h, lengths):
+    g, h = P(g), P(h)
+    for fam, want in zip(MinorFamily, lengths):
+        w = minor_witness(g, h, fam)
+        assert (None if w is None else len(w)) == want, fam
+        assert contains_minor(g, h, fam) == (want is not None), fam
+        if w is not None:
+            assert _same_state(replay_witness(g, w), h, fam), fam
+
+
+def _assert_matches_capped_search(pairs):
+    """Containment and witness lengths equal those of the capped reference
+    search in every family, and every witness replays to its target."""
+    for g, h in pairs:
+        for fam in MinorFamily:
+            want = capped_minor_search(g, h, fam, want_witness=True)
+            got = minor_witness(g, h, fam)
+            assert (got is None) == (want is None), (g, h, fam)
+            assert contains_minor(g, h, fam) == (want is not None), (g, h, fam)
+            if got is not None:
+                assert len(got) == len(want), (g, h, fam)
+                assert _same_state(replay_witness(g, got), h, fam), (g, h, fam, got)
+
+
+def test_search_matches_capped_reference_on_catalog_targets(sweep3):
+    targets = list(target_catalog().values())
+    _assert_matches_capped_search([(g, h) for g in sweep3 for h in targets])
+
+
+def test_search_matches_capped_reference_on_small_pairs():
+    small = enumerate_presentations(EnumerationSpec(2, 3, False))
+    _assert_matches_capped_search([(g, h) for g in small for h in small])
+
+
+def test_failed_search_is_remembered_per_state(monkeypatch):
+    # an orientable ribbon graph has no non-orientable minor
+    g, h = P("(a+ b+ a+ b+)(c+ c+)"), target_catalog()["nonorientable_loop"]
+    fam = MinorFamily.CHECKERBOARD
+    assert not contains_minor(g, h, fam)
+    reached = P("(a+ b+ a+ b+)")  # g with the component of c deleted
+    assert minor_search._contains_cache[minor_search._memo_key(reached, h, fam)] is False
+
+    def no_search(*args):
+        raise AssertionError("a state the failed search reached was searched again")
+
+    monkeypatch.setattr(minor_search, "_search", no_search)
+    assert not contains_minor(reached, h, fam)
+
+
+def test_start_below_target_is_not_expanded():
+    # fewer edges than the target, so no move of any family can reach it;
+    # five edges, so no other test expands g
+    g, h = P("(a+ b+ c+ d+ e+ a+ b+ c+ d+ e+)"), P("(a+ b+ c+ d+ e+ f+ a+ b+ c+ d+ e+ f+)")
+    for fam in MinorFamily:
+        assert minor_witness(g, h, fam) is None
+        assert (minor_search.canonical_presentation(g), fam) not in minor_search._successor_cache
 
 
 def test_witness_replay(sweep2):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ribbonminor import (
     ArrowPresentation,
+    can_split_face,
     canonical_presentation,
     canonicalize,
     contract_edge,
@@ -25,6 +26,7 @@ from ribbonminor import (
 )
 from ribbonminor.arrow_core import EdgeLineSegment, _base_canonical, _encode_circle, _is_canonical
 from oracles import (
+    can_split_face_counted,
     endpoint_partial_dual,
     endpoint_trace_boundaries,
     flip_loop_canonicalize,
@@ -204,3 +206,13 @@ def test_boundary_walk_matches_endpoint_walk_oracles_up_to_12_edges(g, seed):
 def test_two_colourings_match_networkx(g):
     assert is_bipartite(g) == nx_is_bipartite(g)
     assert is_checkerboard_colourable(g) == nx_is_checkerboard_colourable(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(presentations(max_edges=12, max_circles=6))
+def test_face_split_gate_matches_counted_arcs_up_to_12_edges(g):
+    for bi, b in enumerate(trace_boundaries(g)):
+        vpos = b.vertex_positions()
+        for p in vpos:
+            for q in vpos:
+                assert can_split_face(g, bi, p, q) == can_split_face_counted(g, bi, p, q)
