@@ -236,6 +236,16 @@ class BoundaryComponent:
     ``directions[i]`` is +1 when the walk traverses ``segments[i]`` along its
     intrinsic orientation (a gap along its circle's traversal; an edge side
     from the head of one arrow to the tail of the other), else -1.
+
+    A walk of :func:`trace_boundaries` starts with a vertex line segment and
+    alternates: its even positions are vertex line segments and its odd
+    positions edge line segments, and its length is 1 (an isolated circle's
+    one gap) or even.  Proof: each arrow endpoint meets one gap arc and one
+    jump arc, so the arcs of a walk alternate gap, jump, gap, ...; the gap
+    arcs are numbered before the jump arcs, and each walk starts at its
+    lowest-numbered arc, so it starts with a gap.  An isolated circle's gap
+    is an arc from its one notional endpoint to itself, a walk of length 1.
+    Kinds, counts and arcs of a walk are therefore read from positions.
     """
 
     segments: tuple[Segment, ...]
@@ -245,11 +255,11 @@ class BoundaryComponent:
         return len(self.segments)
 
     def n_edge_segments(self) -> int:
-        return sum(1 for s in self.segments if isinstance(s, EdgeLineSegment))
+        return len(self.segments) // 2
 
     def vertex_positions(self) -> tuple[int, ...]:
-        """Positions of the vertex line segments within this walk."""
-        return tuple(i for i, s in enumerate(self.segments) if isinstance(s, VertexLineSegment))
+        """Positions of the vertex line segments within this walk: the even ones."""
+        return tuple(range(0, len(self.segments), 2))
 
     def position_of(self, seg: Segment) -> int:
         try:
@@ -328,10 +338,13 @@ def trace_boundaries(g: ArrowPresentation) -> tuple[BoundaryComponent, ...]:
     Every arrow contributes a tail and a head endpoint on its circle; gaps
     join consecutive endpoints around each circle, and each edge contributes
     the two jump segments head-to-tail between its occurrences.  The result
-    is 2-regular and its cycles are the boundary components, each a strictly
-    alternating walk of vertex and edge line segments.  Components come in
-    the order of their first segment, gaps (by circle, then gap) before edge
-    sides (by label, then side).
+    is 2-regular and its cycles are the boundary components.  Gaps (by
+    circle, then gap) are numbered before edge sides (by label, then side),
+    and each walk starts at its lowest-numbered segment, so components come
+    in the order of their first gap.  Each endpoint meets one gap and one
+    jump segment, so a walk alternates gap, edge side, gap, ...: its vertex
+    line segments are exactly its even positions (see
+    :class:`BoundaryComponent`).
 
     >>> [b.n_edge_segments() for b in trace_boundaries(parse_arp("(e+ e+)"))]
     [1, 1]

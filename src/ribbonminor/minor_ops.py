@@ -18,7 +18,6 @@ from .arrow_core import (
     ArpError,
     ArrowPresentation,
     BoundaryComponent,
-    EdgeLineSegment,
     Segment,
     VertexLineSegment,
     trace_boundaries,
@@ -104,8 +103,42 @@ def delete_vertex(g: ArrowPresentation, circle: int) -> ArrowPresentation:
 
 
 # ---------------------------------------------------------------------------
-# distances
+# distances and the cut rule
 # ---------------------------------------------------------------------------
+#
+# Every distance and every evenness gate below cuts a cyclic sequence of
+# length n at two positions i and j and reads how many counted items lie
+# strictly inside each of the two arcs.  In every such sequence the counted
+# items sit at the odd positions:
+# - a boundary walk: vertex line segments at even positions, edge line
+#   segments at odd ones (see BoundaryComponent);
+# - a circle with d arrows, read as its gaps and arrows alternately: gap j
+#   at position 2j and the arrow after it at 2j + 1 (n = 2d), so arrow j
+#   sits at 2j - 1 mod 2d.  Shifting every position by the same even
+#   amount changes no count, so the two arrows of a loop at p1 < p2 may be
+#   read at 2 * p1 + 1 and 2 * p2 + 1.
+# A distance is the smaller count; a move is proper, or a split even,
+# unless both counts are odd.
+
+
+def _cut(n: int, i: int, j: int) -> tuple[int, int]:
+    """Odd positions strictly inside each of the two arcs between positions
+    i and j of a cyclic sequence of length n (even, or 1); (0, all the odd
+    positions other than i) when i == j."""
+    if i == j:
+        return 0, n // 2 - i % 2
+    i, j = sorted((i, j))
+    inside = j // 2 - (i + 1) // 2
+    return inside, n // 2 - inside - i % 2 - j % 2
+
+
+def _not_both_odd(counts: tuple[int, int]) -> bool:
+    return not (counts[0] % 2 == 1 and counts[1] % 2 == 1)
+
+
+def _loop_cut(g: ArrowPresentation, e: str) -> tuple[int, int]:
+    (c, p1), (_, p2) = g.occurrences[e]
+    return _cut(2 * g.degree(c), 2 * p1 + 1, 2 * p2 + 1)
 
 
 def dual_distance(g: ArrowPresentation, e: str) -> int:
@@ -115,25 +148,23 @@ def dual_distance(g: ArrowPresentation, e: str) -> int:
     1
     """
     _check_label(g, e)
-    (c1, p1), (c2, p2) = g.occurrences[e]
+    (c1, _), (c2, _) = g.occurrences[e]
     if c1 != c2:
         raise ArpError(f"label {e!r} is not a loop")
-    d = g.degree(c1)
-    between = p2 - p1 - 1
-    return min(between, d - between - 2)
+    return min(_loop_cut(g, e))
 
 
-def vls_dual_distance(g: ArrowPresentation, circle: int, p: int, q: int) -> int:
-    """Fewest arrows strictly between gaps p and q of a circle, either way."""
+def _gap_cut(g: ArrowPresentation, circle: int, p: int, q: int) -> tuple[int, int]:
     ngaps = g.n_gaps(circle)
     for pos in (p, q):
         if not isinstance(pos, int) or not 0 <= pos < ngaps:
             raise ArpError(f"invalid position {pos!r} (circle has {ngaps} gaps)")
-    if p == q:
-        return 0
-    d = g.degree(circle)
-    i, j = sorted((p, q))
-    return min(j - i, d - (j - i))
+    return _cut(2 * g.degree(circle), 2 * p, 2 * q)
+
+
+def vls_dual_distance(g: ArrowPresentation, circle: int, p: int, q: int) -> int:
+    """Fewest arrows strictly between gaps p and q of a circle, either way."""
+    return min(_gap_cut(g, circle, p, q))
 
 
 def _resolve_position(b: BoundaryComponent, s: Union[Segment, int]) -> int:
@@ -142,22 +173,6 @@ def _resolve_position(b: BoundaryComponent, s: Union[Segment, int]) -> int:
             raise ArpError(f"invalid boundary position {s!r}")
         return s
     return b.position_of(s)
-
-
-def _boundary_arc_edge_counts(b: BoundaryComponent, i: int, j: int) -> tuple[int, int]:
-    """Edge line segments strictly inside each of the two arcs between
-    positions i and j of a boundary walk; (0, total) when i == j."""
-    if i == j:
-        return 0, b.n_edge_segments() - isinstance(b.segments[i], EdgeLineSegment)
-    i, j = sorted((i, j))
-    n = len(b.segments)
-    forward = sum(1 for k in range(i + 1, j) if isinstance(b.segments[k], EdgeLineSegment))
-    backward = sum(
-        1
-        for k in list(range(j + 1, n)) + list(range(0, i))
-        if isinstance(b.segments[k], EdgeLineSegment)
-    )
-    return forward, backward
 
 
 def boundary_distance(
@@ -170,11 +185,7 @@ def boundary_distance(
         if not 0 <= b < len(boundaries):
             raise ArpError(f"unknown boundary component {b!r}")
         b = boundaries[b]
-    i = _resolve_position(b, s)
-    j = _resolve_position(b, t)
-    if i == j:
-        return 0
-    return min(_boundary_arc_edge_counts(b, i, j))
+    return min(_cut(len(b), _resolve_position(b, s), _resolve_position(b, t)))
 
 
 # ---------------------------------------------------------------------------
@@ -189,13 +200,6 @@ def is_orientable_loop(g: ArrowPresentation, e: str) -> bool:
     return c1 == c2 and g.sign_of(c1, p1) == g.sign_of(c2, p2)
 
 
-def _loop_arc_sizes(g: ArrowPresentation, e: str) -> tuple[int, int]:
-    (c1, p1), (_, p2) = g.occurrences[e]
-    d = g.degree(c1)
-    between = p2 - p1 - 1
-    return between, d - between - 2
-
-
 def is_proper_contraction(g: ArrowPresentation, e: str) -> bool:
     """Contraction is proper unless e is an orientable loop whose dual
     distance is odd, i.e. whose occurrences cut the remaining arrows of the
@@ -206,10 +210,7 @@ def is_proper_contraction(g: ArrowPresentation, e: str) -> bool:
     extends it coherently to odd-degree vertices.
     """
     _check_label(g, e)
-    if not is_orientable_loop(g, e):
-        return True
-    k, m = _loop_arc_sizes(g, e)
-    return not (k % 2 == 1 and m % 2 == 1)
+    return not is_orientable_loop(g, e) or _not_both_odd(_loop_cut(g, e))
 
 
 def is_proper_deletion(g: ArrowPresentation, e: str) -> bool:
@@ -237,13 +238,7 @@ def can_split_vertex(g: ArrowPresentation, circle: int, p: int, q: int) -> bool:
     arrows they separate must not both be odd.  On an even-degree vertex the
     groups share their parity, so this is exactly evenness of the dual
     distance."""
-    vls_dual_distance(g, circle, p, q)  # validates the positions
-    if p == q:
-        return True
-    d = g.degree(circle)
-    i, j = sorted((p, q))
-    k = j - i
-    return not (k % 2 == 1 and (d - k) % 2 == 1)
+    return _not_both_odd(_gap_cut(g, circle, p, q))
 
 
 def split_vertex(g: ArrowPresentation, circle: int, p: int, q: int) -> ArrowPresentation:
@@ -285,19 +280,13 @@ def can_split_face(g: ArrowPresentation, b: int, p: int, q: int) -> bool:
     boundaries = trace_boundaries(g)
     if not isinstance(b, int) or not 0 <= b < len(boundaries):
         raise ArpError(f"unknown boundary component {b!r}")
-    comp = boundaries[b]
+    n = len(boundaries[b])
     for pos in (p, q):
-        if not isinstance(pos, int) or not 0 <= pos < len(comp.segments):
+        if not isinstance(pos, int) or not 0 <= pos < n:
             raise ArpError(f"invalid boundary position {pos!r}")
-        if not isinstance(comp.segments[pos], VertexLineSegment):
+        if pos % 2:
             raise ArpError(f"position {pos} is not a vertex line segment")
-    if p == q:
-        return True
-    # a walk alternates vertex and edge line segments, so the two arcs
-    # between vertex positions p and q carry k and n - k of its n edge line
-    # segments
-    k = abs(q - p) // 2
-    return not (k % 2 == 1 and (comp.n_edge_segments() - k) % 2 == 1)
+    return _not_both_odd(_cut(n, p, q))
 
 
 def split_face(g: ArrowPresentation, b: int, p: int, q: int) -> ArrowPresentation:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from .arrow_core import (
     ArrowPresentation,
-    EdgeLineSegment,
     _two_colouring,
     euler_genus,
     trace_boundaries,
@@ -48,11 +47,8 @@ def checkerboard_colouring(g: ArrowPresentation) -> dict[int, int] | None:
     edge with both sides on one component rules a colouring out.
     """
     boundaries = trace_boundaries(g)
-    where: dict[tuple[str, int], int] = {}
-    for bi, b in enumerate(boundaries):
-        for seg in b.segments:
-            if isinstance(seg, EdgeLineSegment):
-                where[(seg.label, seg.side)] = bi
+    # the edge line segments of a walk are its odd positions
+    where = {seg: bi for bi, b in enumerate(boundaries) for seg in b.segments[1::2]}
     pairs = [(where[(lab, 1)], where[(lab, 2)]) for lab in g.labels]
     return _two_colouring(len(boundaries), pairs)
 

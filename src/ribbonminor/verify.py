@@ -218,26 +218,31 @@ CHECKS = {
 }
 
 
+def _report(check_id: str, spec: EnumerationSpec, row) -> VerificationReport:
+    """One report row per enumerated class g for which ``row(g)`` gives
+    ``(ok, detail)``; a class for which it gives None is outside the check."""
+    rows = []
+    for g in enumerate_presentations(spec):
+        result = row(g)
+        if result is not None:
+            rows.append(ReportRow(canonicalize(g), *result))
+    return VerificationReport(check_id, tuple(rows))
+
+
 def verify_theorem(check_id: str, spec: EnumerationSpec = EnumerationSpec()) -> VerificationReport:
     """Check one predicate/excluded-minor equivalence over the enumerated
     classes; disagreements are reported, never raised."""
     if check_id not in CHECKS:
         raise ArpError(f"unknown check id {check_id!r}")
     domain, predicate, excluded = CHECKS[check_id]
-    rows = []
-    for g in enumerate_presentations(spec):
+
+    def row(g):
         if domain is not None and not domain(g):
-            continue
-        lhs = predicate(g)
-        rhs = excluded(g)
-        rows.append(
-            ReportRow(
-                subject=canonicalize(g),
-                ok=lhs == rhs,
-                detail=f"predicate={str(lhs).lower()} excluded_minor={str(rhs).lower()}",
-            )
-        )
-    return VerificationReport(check_id, tuple(rows))
+            return None
+        lhs, rhs = predicate(g), excluded(g)
+        return lhs == rhs, f"predicate={str(lhs).lower()} excluded_minor={str(rhs).lower()}"
+
+    return _report(check_id, spec, row)
 
 
 # ---------------------------------------------------------------------------
@@ -308,17 +313,12 @@ def verify_lemma(lemma_id: str, spec: EnumerationSpec = EnumerationSpec()) -> Ve
     if lemma_id not in LEMMAS:
         raise ArpError(f"unknown lemma id {lemma_id!r}")
     fn = LEMMAS[lemma_id]
-    rows = []
-    for g in enumerate_presentations(spec):
+
+    def row(g):
         result = fn(g)
         if result is None:
-            continue
+            return None
         checked, violations = result
-        rows.append(
-            ReportRow(
-                subject=canonicalize(g),
-                ok=violations == 0,
-                detail=f"moves={checked} violations={violations}",
-            )
-        )
-    return VerificationReport(lemma_id, tuple(rows))
+        return violations == 0, f"moves={checked} violations={violations}"
+
+    return _report(lemma_id, spec, row)

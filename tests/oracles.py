@@ -7,8 +7,10 @@ flips, rotations and reversals; canonical forms via the edge-flip mask
 loop; the enumeration by canonicalising every candidate; boundary tracing
 and partial duality via two separate endpoint walks; four test-only
 kernels: the direct deletion properness test, the literal vertex split,
-the counted face-split gate and the trivial-loop test; and the minor search
-with its first, start-dependent caps.
+the counted face-split gate and the trivial-loop test; the arcs of a
+boundary walk or a circle, counted item by item, as the reference for every
+distance and parity gate; and the minor search with its first,
+start-dependent caps.
 """
 
 from __future__ import annotations
@@ -25,16 +27,21 @@ from ribbonminor import (
     BoundaryComponent,
     EdgeLineSegment,
     VertexLineSegment,
+    boundary_distance,
     can_split_vertex,
     canonical_presentation,
     canonicalize,
     contract_edge,
+    dual_distance,
     euler_genus,
+    is_orientable_loop,
+    is_proper_contraction,
     trace_boundaries,
     underlying_graph,
+    vls_dual_distance,
 )
 from ribbonminor.arrow_core import MAX_KEY_VERTICES, Segment
-from ribbonminor.minor_ops import _boundary_arc_edge_counts, _check_label, _fresh_label
+from ribbonminor.minor_ops import _check_label, _fresh_label
 from ribbonminor.minor_search import MinorFamily, _isolated_count, _state_key, _successors
 from ribbonminor.verify import _compositions, _words
 
@@ -448,6 +455,81 @@ def endpoint_partial_dual(g: ArrowPresentation, edges: Iterable[str]) -> ArrowPr
 # Kernels only the tests use, kept as independent cross-checks of the
 # library's properness test for deletion, its vertex split, its face-split
 # gate and its loops.
+
+
+def _counted_arcs(seq, i: int, j: int, counted) -> tuple[int, int]:
+    """Items of a cyclic sequence for which ``counted`` holds, strictly
+    inside each of the two arcs between positions i and j; (0, all of them
+    but position i) when i == j."""
+    if i == j:
+        return 0, sum(1 for k, x in enumerate(seq) if k != i and counted(x))
+    i, j = sorted((i, j))
+    n = len(seq)
+    forward = sum(1 for k in range(i + 1, j) if counted(seq[k]))
+    backward = sum(1 for k in list(range(j + 1, n)) + list(range(0, i)) if counted(seq[k]))
+    return forward, backward
+
+
+def _boundary_arc_edge_counts(b: BoundaryComponent, i: int, j: int) -> tuple[int, int]:
+    """Edge line segments strictly inside each of the two arcs between
+    positions i and j of a boundary walk; (0, total) when i == j.  Counted
+    by segment kind, not read from positions."""
+    return _counted_arcs(b.segments, i, j, lambda s: isinstance(s, EdgeLineSegment))
+
+
+def _circle_items(g: ArrowPresentation, circle: int) -> list[tuple[str, int]]:
+    """A circle as the cyclic sequence of its arrows and gaps: arrow j, then
+    gap j, which follows it; an empty circle is its one gap."""
+    d = len(g.circles[circle])
+    return [item for j in range(d) for item in (("arrow", j), ("gap", j))] or [("gap", 0)]
+
+
+def _is_arrow(item) -> bool:
+    return item[0] == "arrow"
+
+
+def _not_both_odd(counts: tuple[int, int]) -> bool:
+    return not (counts[0] % 2 == 1 and counts[1] % 2 == 1)
+
+
+def assert_walks_alternate(walks: Iterable[BoundaryComponent]) -> None:
+    """Each walk has length 1 or an even length, and its vertex line
+    segments are exactly at its even positions."""
+    for b in walks:
+        assert len(b) == 1 or len(b) % 2 == 0, b
+        kinds = [isinstance(s, VertexLineSegment) for s in b.segments]
+        assert kinds == [i % 2 == 0 for i in range(len(b))], b
+        assert b.n_edge_segments() == kinds.count(False), b
+        assert b.vertex_positions() == tuple(i for i, v in enumerate(kinds) if v), b
+
+
+def assert_cuts_match_counted(g: ArrowPresentation) -> None:
+    """Every distance of g, and the vertex-side gates, at every pair of
+    positions, equal the ones read off arcs counted item by item: boundary
+    walks at any two positions (edge positions and i == j included), gaps
+    of each circle, and the two occurrences of each loop.  The face-split
+    gate has its own counted reference, :func:`can_split_face_counted`."""
+    for bi, b in enumerate(trace_boundaries(g)):
+        for i in range(len(b)):
+            for j in range(len(b)):
+                want = 0 if i == j else min(_boundary_arc_edge_counts(b, i, j))
+                assert boundary_distance(g, bi, i, j) == want, (g, bi, i, j)
+    for ci in range(g.n_vertices):
+        items = _circle_items(g, ci)
+        for p in range(g.n_gaps(ci)):
+            for q in range(g.n_gaps(ci)):
+                counted = _counted_arcs(items, items.index(("gap", p)), items.index(("gap", q)), _is_arrow)
+                assert vls_dual_distance(g, ci, p, q) == min(counted), (g, ci, p, q)
+                assert can_split_vertex(g, ci, p, q) == _not_both_odd(counted), (g, ci, p, q)
+    for e, ((c1, p1), (c2, p2)) in g.occurrences.items():
+        if c1 != c2:
+            assert is_proper_contraction(g, e), (g, e)
+            continue
+        items = _circle_items(g, c1)
+        counted = _counted_arcs(items, items.index(("arrow", p1)), items.index(("arrow", p2)), _is_arrow)
+        assert dual_distance(g, e) == min(counted), (g, e)
+        want = not is_orientable_loop(g, e) or _not_both_odd(counted)
+        assert is_proper_contraction(g, e) == want, (g, e)
 
 
 def is_proper_deletion_direct(g: ArrowPresentation, e: str) -> bool:

@@ -15,6 +15,7 @@ from ribbonminor import (
 )
 from ribbonminor.arrow_core import _is_canonical
 from oracles import (
+    assert_walks_alternate,
     brute_equivalent,
     endpoint_trace_boundaries,
     flip_loop_canonicalize,
@@ -156,6 +157,10 @@ def test_genus_nonnegative_up_to_4_edges_exhaustive():
                     [tuple((f"e{word[i][0]}", word[i][1]) for i in part) for part in parts]
                 )
                 assert euler_genus(g) >= 0, g
+            # the raw presentations are not classes: keep them out of the
+            # shared caches, which would otherwise hold all 107,520 of them
+            for cached in (euler_genus, trace_boundaries, underlying_graph):
+                cached.cache_clear()
 
 
 def _with_isolated_circles(circles):
@@ -171,10 +176,14 @@ def _with_isolated_circles(circles):
 
 def test_trace_boundaries_matches_endpoint_walk_oracle_on_raw_words(raw3):
     # same components in the same order, with the same segments and
-    # directions; called uncached so the sweep does not fill the cache
+    # directions, each with its vertex line segments at its even positions
+    # (the invariant every positional reading of a walk relies on); called
+    # uncached so the sweep does not fill the cache
     for circles in raw3:
         for g in _with_isolated_circles(circles):
-            assert trace_boundaries.__wrapped__(g) == endpoint_trace_boundaries(g), g
+            walks = trace_boundaries.__wrapped__(g)
+            assert walks == endpoint_trace_boundaries(g), g
+            assert_walks_alternate(walks)
 
 
 def test_degree_and_underlying_graph():

@@ -27,7 +27,12 @@ from ribbonminor import (
     vls_dual_distance,
 )
 from ribbonminor.minor_search import MinorFamily, applicable_moves
-from oracles import can_split_face_counted, is_proper_deletion_direct, split_vertex_via_insertion
+from oracles import (
+    assert_cuts_match_counted,
+    can_split_face_counted,
+    is_proper_deletion_direct,
+    split_vertex_via_insertion,
+)
 
 P = parse_arp
 
@@ -214,6 +219,11 @@ def test_face_split_gate_matches_counted_arcs(sweep3):
                     assert can_split_face(g, bi, p, q) == can_split_face_counted(g, bi, p, q), (g, bi, p, q)
 
 
+def test_distances_and_vertex_gates_match_counted_arcs(sweep3):
+    for g in sweep3:
+        assert_cuts_match_counted(g)
+
+
 def test_split_face_preserves_bipartite(sweep2):
     for g in sweep2:
         if not is_bipartite(g):
@@ -241,6 +251,12 @@ def test_split_face_errors():
     edge_pos = next(i for i, s in enumerate(b.segments) if isinstance(s, EdgeLineSegment))
     with pytest.raises(ArpError, match="not a vertex line segment"):
         split_face(g, 0, edge_pos, edge_pos)
+    # every odd position of every walk, short walks included, is an edge side
+    for h in (g, P("(e+ e+)"), P("(a+)(a+)"), P("(e+ e-)()")):
+        for bi, walk in enumerate(trace_boundaries(h)):
+            for pos in range(1, len(walk), 2):
+                with pytest.raises(ArpError, match=f"position {pos} is not a vertex line segment"):
+                    can_split_face(h, bi, 0, pos)
 
 
 def test_move_duality_transport_three_edges(sweep3):

@@ -5,6 +5,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from ribbonminor import (
+    ArpError,
     ArrowPresentation,
     can_split_face,
     canonical_presentation,
@@ -26,6 +27,8 @@ from ribbonminor import (
 )
 from ribbonminor.arrow_core import EdgeLineSegment, _base_canonical, _encode_circle, _is_canonical
 from oracles import (
+    assert_cuts_match_counted,
+    assert_walks_alternate,
     can_split_face_counted,
     endpoint_partial_dual,
     endpoint_trace_boundaries,
@@ -216,3 +219,26 @@ def test_face_split_gate_matches_counted_arcs_up_to_12_edges(g):
         for p in vpos:
             for q in vpos:
                 assert can_split_face(g, bi, p, q) == can_split_face_counted(g, bi, p, q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(presentations(max_edges=12, max_circles=6))
+def test_positional_reading_matches_counted_arcs_up_to_12_edges(g):
+    assert_walks_alternate(trace_boundaries(g))
+    assert_cuts_match_counted(g)
+
+
+# label characters, signs, parentheses, comment marks, spaces and line
+# breaks, with whole tokens mixed in so that a fair share of texts parse
+_ARP_PIECES = st.sampled_from([*"abAZ09_+-()# \t\r\n", "a+", "a-", "b+", "b-", "()"])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_ARP_PIECES, max_size=24).map("".join))
+def test_parse_arp_rejects_or_round_trips(text):
+    try:
+        g = parse_arp(text)
+    except ArpError:
+        return
+    assert parse_arp(format_arp(g)) == g
+    assert parse_arp(g.to_text()) == g
