@@ -268,56 +268,68 @@ class BoundaryComponent:
             raise ArpError(f"segment {seg!r} not on this boundary component") from None
 
 
-#: An arc between two arrow endpoints ``(circle, position, part)``, part 0
-#: the tail and 1 the head, stored from its first endpoint to its second.
-_Arc = tuple[tuple[int, int, int], tuple[int, int, int]]
+def _boundary_arcs(g: ArrowPresentation, jumped: Container[str]) -> list[int]:
+    """The arcs of the boundary walk with the edges in ``jumped`` crossed, as
+    a flat list: arc i runs from endpoint ``ends[2i]`` to ``ends[2i + 1]``.
 
-
-def _boundary_arcs(g: ArrowPresentation, jumped: Container[str]) -> list[_Arc]:
-    """The arcs of the boundary walk with the edges in ``jumped`` crossed.
+    Endpoints are integers.  With ``base[c]`` the number of endpoints on the
+    circles before c, endpoint ``base[c] + 2j + part`` is the tail (part 0)
+    or head (part 1) of arrow j of circle c; an empty circle has one
+    notional endpoint, ``base[c]``.  So the endpoints are exactly
+    ``0 .. len(ends) // 2 - 1``, one per arc.
 
     First the gaps, circle by circle, each from the exit endpoint of its arrow
     to the entry endpoint of the next; an empty circle's single gap is an arc
-    from one notional endpoint to itself.  Then, for each label in sorted
+    from its notional endpoint to itself.  Then, for each label in sorted
     order, its two jump segments head to tail if it is in ``jumped``, else its
     two arrows tail to head.  Every endpoint meets one gap and one other arc.
     With every label jumped the cycles are the boundary components; with the
     labels of A jumped they are the circles of the partial dual g^A, whose
     arrows are the jump segments of A (Chmutov, JCTB 2009).
     """
-    arcs: list[_Arc] = []
-    for ci, circle in enumerate(g.circles):
-        if not circle:
-            arcs.append(((ci, 0, 0), (ci, 0, 0)))  # no arrow on ci uses this endpoint
+    ends: list[int] = []
+    base = []
+    n = 0
+    for circle in g.circles:
+        base.append(n)
         d = len(circle)
+        if not d:
+            ends += (n, n)
+            n += 1
+            continue
         for j in range(d):
             k = (j + 1) % d
-            # exit: the head (part True == 1) of a + arrow, the tail of a - one;
+            # exit: the head (part 1) of a + arrow, the tail of a - one;
             # entry the other way round
-            arcs.append(((ci, j, circle[j][1] > 0), (ci, k, circle[k][1] < 0)))
+            ends += (n + 2 * j + (circle[j][1] > 0), n + 2 * k + (circle[k][1] < 0))
+        n += 2 * d
     for lab, ((c1, p1), (c2, p2)) in sorted(g.occurrences.items()):
-        t1, h1, t2, h2 = (c1, p1, 0), (c1, p1, 1), (c2, p2, 0), (c2, p2, 1)
-        arcs += [(h1, t2), (h2, t1)] if lab in jumped else [(t1, h1), (t2, h2)]
-    return arcs
+        t1, t2 = base[c1] + 2 * p1, base[c2] + 2 * p2
+        ends += (t1 + 1, t2, t2 + 1, t1) if lab in jumped else (t1, t1 + 1, t2, t2 + 1)
+    return ends
 
 
-def _trace_cycles(arcs: list[_Arc]) -> list[list[tuple[int, int]]]:
-    """The cycles of a 2-regular arc list as ``(arc index, direction)`` pairs.
+def _trace_cycles(ends: list[int]) -> list[list[tuple[int, int]]]:
+    """The cycles of a 2-regular flat arc list (see :func:`_boundary_arcs`)
+    as ``(arc index, direction)`` pairs.
 
     Each cycle starts at its lowest-index arc, walked from its first endpoint
     to its second; direction is +1 for an arc walked that way, else -1.
     End 2i of arc i is its first endpoint and end 2i+1 its second; ``mate``
     pairs the two ends that meet at each endpoint.
     """
-    mate = [0] * (2 * len(arcs))
-    first_end: dict[tuple, int] = {}
-    for end, ep in enumerate([ep for arc in arcs for ep in arc]):
-        other = first_end.setdefault(ep, end)
-        if other != end:
+    n_arcs = len(ends) // 2
+    mate = [0] * len(ends)
+    first_end = [-1] * n_arcs  # one endpoint per arc, numbered densely
+    for end, ep in enumerate(ends):
+        other = first_end[ep]
+        if other < 0:
+            first_end[ep] = end
+        else:
             mate[end], mate[other] = other, end
     cycles = []
-    seen = [False] * len(arcs)
-    for start in range(len(arcs)):
+    seen = [False] * n_arcs
+    for start in range(n_arcs):
         if seen[start]:
             continue
         seen[start] = True

@@ -10,11 +10,29 @@ the outcome does not depend on the order.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Container, Iterable
 
-from .arrow_core import ArpError, ArrowPresentation, _boundary_arcs, _trace_cycles
+from .arrow_core import ArpError, ArrowPresentation, Circle, _boundary_arcs, _trace_cycles
 
 __all__ = ["geometric_dual", "partial_dual"]
+
+
+def _dual_words(g: ArrowPresentation, a: Container[str]) -> list[Circle]:
+    """The circles of g^A for labels A of g, unvalidated: one boundary walk.
+
+    The dual's circles are the cycles of the walk that crosses the edges of
+    A; each arrow or jump segment met on a cycle is an arrow of the dual, +
+    when walked along it.  Isolated circles come out as empty words and are
+    sorted last; otherwise the cycles keep the walk's order.
+    """
+    labels = g.labels
+    ends = _boundary_arcs(g, a)
+    first = len(ends) // 2 - 2 * len(labels)  # the gaps come first, then two arcs per label
+    words = [
+        tuple((labels[(i - first) // 2], d) for i, d in cycle if i >= first)
+        for cycle in _trace_cycles(ends)
+    ]
+    return sorted(words, key=lambda w: not w)
 
 
 def partial_dual(g: ArrowPresentation, edges: Iterable[str]) -> ArrowPresentation:
@@ -35,21 +53,10 @@ def partial_dual(g: ArrowPresentation, edges: Iterable[str]) -> ArrowPresentatio
     a = frozenset(edges)
     if not a:
         return g
-    labels = g.labels
-    missing = a - set(labels)
+    missing = a.difference(g.occurrences)
     if missing:
         raise ArpError(f"label {sorted(missing)[0]!r} not present")
-
-    # The dual's circles are the cycles of the walk that crosses the edges of
-    # A; each arrow or jump segment met on a cycle is an arrow of the dual,
-    # + when walked along it.  Isolated circles come out as empty words.
-    arcs = _boundary_arcs(g, a)
-    first = len(arcs) - 2 * len(labels)  # the gaps come first, then two arcs per label
-    words = [
-        tuple((labels[(i - first) // 2], d) for i, d in cycle if i >= first)
-        for cycle in _trace_cycles(arcs)
-    ]
-    return ArrowPresentation(sorted(words, key=lambda w: not w))  # isolated circles last
+    return ArrowPresentation(_dual_words(g, a))
 
 
 def geometric_dual(g: ArrowPresentation) -> ArrowPresentation:

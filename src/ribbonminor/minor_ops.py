@@ -23,7 +23,7 @@ from .arrow_core import (
     trace_boundaries,
     underlying_graph,
 )
-from .duality import geometric_dual, partial_dual
+from .duality import _dual_words, geometric_dual
 
 __all__ = [
     "MinorMove",
@@ -68,13 +68,17 @@ def contract_edge(g: ArrowPresentation, e: str) -> ArrowPresentation:
     """Contract e: dualise with respect to e, then delete it.
 
     A non-loop merges two circles; an orientable loop splits its circle in
-    two; a non-orientable loop leaves one circle.
+    two; a non-orientable loop leaves one circle.  The circles of g^{e} are
+    read from one boundary walk and e is dropped from them before one
+    presentation is built.
 
     >>> contract_edge(ArrowPresentation.from_text("(e+ e+)"), "e").to_text()
     '()()'
     """
     _check_label(g, e)
-    return delete_edge(partial_dual(g, (e,)), e)
+    return ArrowPresentation(
+        tuple(a for a in w if a[0] != e) for w in _dual_words(g, (e,))
+    )
 
 
 def delete_component(g: ArrowPresentation, comp: int) -> ArrowPresentation:

@@ -38,11 +38,10 @@ from .arrow_core import (
 from .duality import geometric_dual
 from .minor_ops import (
     MinorMove,
-    can_split_face,
-    can_split_vertex,
+    _cut,
+    _not_both_odd,
     is_permissible_join,
     is_proper_contraction,
-    is_proper_deletion,
 )
 from .predicates import is_bipartite, is_checkerboard_colourable, is_plane
 
@@ -90,13 +89,18 @@ class MinorFamily(str, Enum):
             raise ArpError(f"unknown minor family {name!r}") from None
 
 
+# The split generators read the cut rule directly: the positions they make
+# are in range and at gaps or vertex line segments by construction, which is
+# all that can_split_vertex and can_split_face check before the same rule.
+
+
 def _vertex_split_moves(g: ArrowPresentation) -> list[MinorMove]:
     moves = []
-    for ci in range(g.n_vertices):
-        ngaps = g.n_gaps(ci)
+    for ci, c in enumerate(g.circles):
+        n, ngaps = 2 * len(c), max(len(c), 1)
         for p in range(ngaps):
             for q in range(p, ngaps):
-                if can_split_vertex(g, ci, p, q):
+                if _not_both_odd(_cut(n, 2 * p, 2 * q)):
                     moves.append(MinorMove("split-vertex", (ci, p, q)))
     return moves
 
@@ -107,7 +111,7 @@ def _face_split_moves(g: ArrowPresentation) -> list[MinorMove]:
         vpos = b.vertex_positions()
         for i, p in enumerate(vpos):
             for q in vpos[i:]:
-                if can_split_face(g, bi, p, q):
+                if _not_both_odd(_cut(len(b), p, q)):
                     moves.append(MinorMove("split-face", (bi, p, q)))
     return moves
 
@@ -128,7 +132,8 @@ def applicable_moves(g: ArrowPresentation, family: MinorFamily) -> tuple[MinorMo
         moves += [MinorMove("contract", (e,)) for e in g.labels]
         moves += _vertex_split_moves(g)
     elif family is MinorFamily.EVEN_FACE:
-        moves += [MinorMove("delete", (e,)) for e in g.labels if is_proper_deletion(g, e)]
+        star = geometric_dual(g)  # deleting e is proper when contracting it in g* is
+        moves += [MinorMove("delete", (e,)) for e in g.labels if is_proper_contraction(star, e)]
         moves += comp_dels
         moves += _face_split_moves(g)
     elif family is MinorFamily.BIPARTITE:

@@ -9,8 +9,9 @@ and partial duality via two separate endpoint walks; four test-only
 kernels: the direct deletion properness test, the literal vertex split,
 the counted face-split gate and the trivial-loop test; the arcs of a
 boundary walk or a circle, counted item by item, as the reference for every
-distance and parity gate; and the minor search with its first,
-start-dependent caps.
+distance and parity gate; the minor search with its first,
+start-dependent caps; and move generation by the public gates, and
+contraction through the partial dual, as first written.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from itertools import combinations, permutations
 from typing import Iterable
+from unittest import mock
 
 import networkx as nx
 
@@ -26,20 +28,28 @@ from ribbonminor import (
     ArrowPresentation,
     BoundaryComponent,
     EdgeLineSegment,
+    MinorMove,
     VertexLineSegment,
     boundary_distance,
+    can_split_face,
     can_split_vertex,
     canonical_presentation,
     canonicalize,
     contract_edge,
+    delete_edge,
     dual_distance,
     euler_genus,
     is_orientable_loop,
+    is_permissible_join,
     is_proper_contraction,
+    is_proper_deletion,
+    partial_dual,
+    split_face,
     trace_boundaries,
     underlying_graph,
     vls_dual_distance,
 )
+from ribbonminor import minor_ops
 from ribbonminor.arrow_core import MAX_KEY_VERTICES, Segment
 from ribbonminor.minor_ops import _check_label, _fresh_label
 from ribbonminor.minor_search import MinorFamily, _isolated_count, _state_key, _successors
@@ -665,3 +675,99 @@ def capped_minor_search(g: ArrowPresentation, h: ArrowPresentation, family: Mino
                 return list(reversed(moves))
             queue.append(nxt)
     return None if want_witness else False
+
+
+# Move generation as first written: every candidate split is put to the
+# public, validating gate, and each even-face deletion dualises g again.
+# The library reads the cut rule directly and dualises once; it must give
+# the same moves in the same order.
+
+
+def _vertex_split_moves_by_gates(g: ArrowPresentation) -> list[MinorMove]:
+    moves = []
+    for ci in range(g.n_vertices):
+        ngaps = g.n_gaps(ci)
+        for p in range(ngaps):
+            for q in range(p, ngaps):
+                if can_split_vertex(g, ci, p, q):
+                    moves.append(MinorMove("split-vertex", (ci, p, q)))
+    return moves
+
+
+def _face_split_moves_by_gates(g: ArrowPresentation) -> list[MinorMove]:
+    moves = []
+    for bi, b in enumerate(trace_boundaries(g)):
+        vpos = b.vertex_positions()
+        for i, p in enumerate(vpos):
+            for q in vpos[i:]:
+                if can_split_face(g, bi, p, q):
+                    moves.append(MinorMove("split-face", (bi, p, q)))
+    return moves
+
+
+def applicable_moves_by_gates(g: ArrowPresentation, family: MinorFamily) -> tuple[MinorMove, ...]:
+    family = MinorFamily(family)
+    n_comp = len(underlying_graph(g).components())
+    comp_dels = [MinorMove("delete-component", (k,)) for k in range(n_comp)]
+    moves: list[MinorMove] = []
+    if family is MinorFamily.EULERIAN:
+        moves += comp_dels
+        moves += [MinorMove("contract", (e,)) for e in g.labels if is_proper_contraction(g, e)]
+        moves += _vertex_split_moves_by_gates(g)
+    elif family is MinorFamily.CHECKERBOARD:
+        moves += comp_dels
+        moves += [MinorMove("contract", (e,)) for e in g.labels]
+        moves += _vertex_split_moves_by_gates(g)
+    elif family is MinorFamily.EVEN_FACE:
+        moves += [MinorMove("delete", (e,)) for e in g.labels if is_proper_deletion(g, e)]
+        moves += comp_dels
+        moves += _face_split_moves_by_gates(g)
+    elif family is MinorFamily.BIPARTITE:
+        moves += [MinorMove("delete", (e,)) for e in g.labels]
+        moves += comp_dels
+        moves += _face_split_moves_by_gates(g)
+    else:  # BIPARTITE_JOIN
+        moves += [MinorMove("delete", (e,)) for e in g.labels]
+        moves += [MinorMove("delete-vertex", (c,)) for c in range(g.n_vertices)]
+        moves += [
+            MinorMove("join", (c1, c2))
+            for c1 in range(g.n_vertices)
+            for c2 in range(c1 + 1, g.n_vertices)
+            if is_permissible_join(g, c1, c2)
+        ]
+    return tuple(moves)
+
+
+def contract_via_partial_dual(g: ArrowPresentation, e: str) -> ArrowPresentation:
+    """Contraction as first written: two presentations, the partial dual at
+    e and then its deletion.  The library reads the dual's circles from one
+    walk and drops e before building one presentation."""
+    return delete_edge(partial_dual(g, {e}), e)
+
+
+def _face_splits(g):
+    """split_face's text for every legal (b, p, q) with p <= q."""
+    return {
+        (bi, p, q): split_face(g, bi, p, q).to_text()
+        for bi, b in enumerate(trace_boundaries(g))
+        for p in b.vertex_positions()
+        for q in b.vertex_positions()
+        if p <= q and can_split_face(g, bi, p, q)
+    }
+
+
+def assert_moves_match_partial_dual_route(g):
+    """contract_edge and every face split give the text of the route that
+    builds the partial dual and then deletes the edge."""
+    for e in g.labels:
+        assert contract_edge(g, e).to_text() == contract_via_partial_dual(g, e).to_text(), (g, e)
+    one_pass = _face_splits(g)
+    routed = []
+
+    def old_route(h, e):
+        routed.append(e)
+        return contract_via_partial_dual(h, e)
+
+    with mock.patch.object(minor_ops, "contract_edge", old_route):
+        assert _face_splits(g) == one_pass, g
+    assert len(routed) == len(one_pass), "split_face no longer contracts through contract_edge"

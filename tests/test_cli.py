@@ -1,4 +1,10 @@
+import contextlib
+import io
+import os
+import tempfile
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ribbonminor import (
     EnumerationSpec,
@@ -213,3 +219,28 @@ def test_bounds_default_to_enumeration_spec():
     assert _spec(parser.parse_args(["verify", "T1", "--max-edges", "4"])) == EnumerationSpec(4, 5)
     args = parser.parse_args(["enumerate", "--max-edges", "2", "--max-circles", "2", "--include-disconnected"])
     assert _spec(args) == EnumerationSpec(2, 2, False)
+
+
+# arbitrary bytes, invalid UTF-8 included, mixed with tokens and line breaks
+# so that a fair share of the files parse and reach the graph code
+_BYTE_PIECES = st.one_of(
+    st.binary(max_size=4),
+    st.sampled_from([b"a+", b"a-", b"b+", b"b-", b"()", b"(", b" ", b"\n", b"#", b"\xff", b"\xc3",
+                     b"a+ b- a+ b+", b"\nb+ b-\n", b"(a+)(a-)"]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_BYTE_PIECES, max_size=24).map(b"".join))
+def test_cli_exits_0_or_2_on_arbitrary_bytes(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.arp")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        for argv in (["info", path], ["dual", path], ["pdual", path, "--edges", "a"],
+                     ["contract", "a", path]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(argv)
+            assert rc == 0 or (rc == 2 and out.getvalue() == "" and err.getvalue().startswith("error: ")), (
+                argv, data, rc, out.getvalue(), err.getvalue())

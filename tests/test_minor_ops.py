@@ -29,7 +29,9 @@ from ribbonminor import (
 from ribbonminor.minor_search import MinorFamily, applicable_moves
 from oracles import (
     assert_cuts_match_counted,
+    assert_moves_match_partial_dual_route,
     can_split_face_counted,
+    contract_via_partial_dual,
     is_proper_deletion_direct,
     split_vertex_via_insertion,
 )
@@ -52,6 +54,28 @@ def test_contract_edge_examples():
     assert is_equivalent(contract_edge(P("(a+)(a+)"), "a"), P("()"))
     assert is_equivalent(contract_edge(P("(e+ e+)"), "e"), P("()()"))
     assert is_equivalent(contract_edge(P("(e+ e-)"), "e"), P("()"))
+
+
+def test_one_pass_moves_match_partial_dual_route(sweep3):
+    for g in sweep3:
+        assert_moves_match_partial_dual_route(g)
+
+
+def test_move_error_messages_unchanged():
+    g = P("(a+ b+ a+ b-)")
+    for contract in (contract_edge, contract_via_partial_dual):
+        with pytest.raises(ArpError) as err:
+            contract(g, "z")
+        assert str(err.value) == "label 'z' not present"
+    with pytest.raises(ArpError) as err:
+        split_face(g, 0, 1, 0)
+    assert str(err.value) == "position 1 is not a vertex line segment"
+    with pytest.raises(ArpError) as err:
+        split_face(g, 0, 0, 2)
+    assert str(err.value) == "distance is odd"
+    with pytest.raises(ArpError) as err:
+        split_vertex(P("(a+ b+ a+ b+)"), 0, 0, 1)
+    assert str(err.value) == "dual distance is odd"
 
 
 def test_contract_vertex_edge_counts(sweep3):

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from ribbonminor import (
@@ -22,9 +24,9 @@ from ribbonminor import (
     target_catalog,
     underlying_graph,
 )
-from ribbonminor import minor_search
+from ribbonminor import ArrowPresentation, duality, minor_search
 from ribbonminor.verify import EnumerationSpec, enumerate_presentations
-from oracles import capped_minor_search
+from oracles import applicable_moves_by_gates, capped_minor_search
 
 P = parse_arp
 
@@ -56,6 +58,45 @@ def test_applicable_moves_deterministic(sweep2):
             first = applicable_moves(g, fam)
             assert first == applicable_moves(g, fam)
             assert len(set(first)) == len(first)
+
+
+def _with_isolated_circles(g: ArrowPresentation):
+    """g with 0, 1 or 2 isolated circles put first, last, or (with two)
+    one each side."""
+    c = g.circles
+    return {ArrowPresentation(x) for x in (
+        c, ((),) + c, c + ((),), ((), ()) + c, c + ((), ()), ((),) + c + ((),))}
+
+
+def test_applicable_moves_match_gate_by_gate_reference(sweep3):
+    for g in sweep3:
+        for h in _with_isolated_circles(g):
+            for fam in MinorFamily:
+                assert applicable_moves(h, fam) == applicable_moves_by_gates(h, fam), (h, fam)
+
+
+def test_even_face_moves_dualise_at_most_once(sweep3, monkeypatch):
+    # every binding of geometric_dual in the package counts, so a properness
+    # test that dualises g once per label is caught too
+    calls = []
+    orig = duality.geometric_dual
+
+    def counting(g):
+        calls.append(g)
+        return orig(g)
+
+    for name, module in list(sys.modules.items()):
+        if name == "ribbonminor" or name.startswith("ribbonminor."):
+            for key, value in list(vars(module).items()):
+                if value is orig:
+                    monkeypatch.setattr(module, key, counting)
+    big = P("(a+ b+ c+ d+ a- b- c- d-)(e+ f+ e+ f+)(g+ g+ h+)(h+)()")
+    applicable_moves(big, MinorFamily.EVEN_FACE)
+    assert len(calls) == 1, "the deletions of big need its dual exactly once"
+    for g in (*sweep3, P("()"), ArrowPresentation()):
+        calls.clear()
+        applicable_moves(g, MinorFamily.EVEN_FACE)
+        assert len(calls) <= 1, (g, len(calls))
 
 
 # -- containment -------------------------------------------------------------------

@@ -26,8 +26,11 @@ from ribbonminor import (
     trace_boundaries,
 )
 from ribbonminor.arrow_core import EdgeLineSegment, _base_canonical, _encode_circle, _is_canonical
+from ribbonminor.minor_search import MinorFamily, applicable_moves
 from oracles import (
+    applicable_moves_by_gates,
     assert_cuts_match_counted,
+    assert_moves_match_partial_dual_route,
     assert_walks_alternate,
     can_split_face_counted,
     endpoint_partial_dual,
@@ -226,6 +229,19 @@ def test_face_split_gate_matches_counted_arcs_up_to_12_edges(g):
 def test_positional_reading_matches_counted_arcs_up_to_12_edges(g):
     assert_walks_alternate(trace_boundaries(g))
     assert_cuts_match_counted(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(presentations(max_edges=12, max_circles=6))
+def test_move_generation_matches_gate_by_gate_reference_up_to_12_edges(g):
+    for fam in MinorFamily:
+        assert applicable_moves(g, fam) == applicable_moves_by_gates(g, fam), fam
+
+
+@settings(max_examples=50, deadline=None)
+@given(presentations(max_edges=12, max_circles=6))
+def test_one_pass_moves_match_partial_dual_route_up_to_12_edges(g):
+    assert_moves_match_partial_dual_route(g)
 
 
 # label characters, signs, parentheses, comment marks, spaces and line
