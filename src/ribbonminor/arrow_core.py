@@ -540,44 +540,29 @@ def _encode_circle(variant: Circle, mapping: _Firsts) -> tuple[tuple, _Firsts]:
     return tuple(enc), m
 
 
-def _base_canonical(circles: tuple[Circle, ...], bound: tuple | None = None) -> tuple | None:
+def _base_canonical(circles: tuple[Circle, ...]) -> tuple:
     """Minimal encoding over circle order, rotations, reversals, relabelling.
-
-    With ``bound``, an encoding of the same circles, the search returns None
-    as soon as a circle encodes below the bound's circle at its level, and
-    does not descend into a branch that is already above it.  The result is
-    then ``bound`` exactly when no encoding is smaller.
 
     Empty circles encode as ``()``, below every other circle, so they lead
     every minimal encoding and only the other circles are searched over.
     """
     empty = tuple(() for c in circles if not c)
     circles = tuple(c for c in circles if c)
-    if bound is not None:
-        if bound[: len(empty)] != empty:
-            return None  # an empty circle encodes below the bound's circle there
-        bound = bound[len(empty) :]
     variants = [_circle_variants(c) for c in circles]
 
-    def rec(remaining: frozenset[int], mapping: _Firsts) -> tuple | None:
+    def rec(remaining: frozenset[int], mapping: _Firsts) -> tuple:
         if not remaining:
             return ()
-        level = None if bound is None else bound[len(circles) - len(remaining)]
         # only the ties of the least encoding so far are kept, so a level
         # holds a few label mappings, not one per remaining circle variant
         best_enc, ties = None, []
         for ci in remaining:
             for var in variants[ci]:
                 enc, m = _encode_circle(var, mapping)
-                if level is not None and enc < level:
-                    return None
                 if best_enc is None or enc < best_enc:
                     best_enc, ties = enc, []
                 if enc == best_enc:
                     ties.append((ci, m))
-        if level is not None and best_enc != level:
-            # every encoding in this branch is above the bound
-            return (best_enc,)
         best = None
         seen_branch = set()
         for ci, m in ties:
@@ -586,24 +571,11 @@ def _base_canonical(circles: tuple[Circle, ...], bound: tuple | None = None) -> 
                 continue
             seen_branch.add(sig)
             rest = rec(remaining - {ci}, m)
-            if rest is None:
-                return None
             if best is None or rest < best:
                 best = rest
         return (best_enc,) + best
 
-    rest = rec(frozenset(range(len(circles))), {})
-    return None if rest is None else empty + rest
-
-
-def _is_canonical(circles: tuple[Circle, ...]) -> bool:
-    """Whether the circles, read as they stand, are their class's minimal
-    encoding; decided by the search bounded by their own encoding."""
-    own, mapping = [], {}
-    for circle in circles:
-        enc, mapping = _encode_circle(circle, mapping)
-        own.append(enc)
-    return _base_canonical(circles, tuple(own)) == tuple(own)
+    return empty + rec(frozenset(range(len(circles))), {})
 
 
 def _canonical_label(i: int) -> str:
@@ -622,6 +594,18 @@ _canon_cache: dict[ArrowPresentation, str] = {}
 _canon_reps: dict[str, ArrowPresentation] = {}
 
 
+def _representative(enc: tuple) -> ArrowPresentation:
+    """The representative of the class whose minimal encoding (see
+    :func:`_base_canonical`) is ``enc``, built and cached the first time."""
+    circles = tuple(tuple((_canonical_label(i), -1 if bit else 1) for i, bit in c) for c in enc)
+    text = _circles_text(circles)
+    rep = _canon_reps.get(text)
+    if rep is None:
+        rep = _canon_reps[text] = ArrowPresentation(circles)
+    _canon_cache.setdefault(rep, text)
+    return rep
+
+
 def canonicalize(g: ArrowPresentation) -> str:
     """Canonical textual form; equal exactly for equivalent presentations.
 
@@ -635,16 +619,7 @@ def canonicalize(g: ArrowPresentation) -> str:
     """
     text = _canon_cache.get(g)
     if text is None:
-        circles = tuple(
-            tuple((_canonical_label(i), -1 if bit else 1) for i, bit in enc)
-            for enc in _base_canonical(g.circles)
-        )
-        text = _circles_text(circles)
-        rep = _canon_reps.get(text)
-        if rep is None:
-            rep = _canon_reps[text] = ArrowPresentation(circles)
-        text = _canon_cache.setdefault(rep, text)
-        _canon_cache[g] = text
+        text = _canon_cache[g] = _canon_cache[_representative(_base_canonical(g.circles))]
     return text
 
 

@@ -16,11 +16,11 @@ from functools import lru_cache
 from .arrow_core import (
     ArpError,
     ArrowPresentation,
-    _is_canonical,
-    canonical_presentation,
+    Circle,
+    _base_canonical,
+    _representative,
     canonicalize,
     euler_genus,
-    underlying_graph,
 )
 from .duality import geometric_dual
 from .minor_ops import contract_edge, delete_edge, delete_vertex
@@ -78,40 +78,25 @@ class EnumerationSpec:
             raise ArpError("max_circles must be positive")
 
 
-def _words(n_edges: int):
-    """All token sequences of length 2*n_edges: every edge index appears
-    twice, indices first appear in increasing order, and each first
-    occurrence has positive sign.  Both are normalisations the canonical
-    form also makes, so every class's canonical form, read circle after
-    circle, is one of these words; orderly enumeration relies on that."""
-    out: list[tuple[tuple[int, int], ...]] = []
+def _put(circles: tuple[Circle, ...], ci: int, k: int, arrow) -> tuple[Circle, ...]:
+    return circles[:ci] + (circles[ci][:k] + (arrow,) + circles[ci][k:],) + circles[ci + 1 :]
 
-    def rec(word: list[tuple[int, int]], opened: int, open_set: frozenset[int]):
-        if len(word) == 2 * n_edges:
-            out.append(tuple(word))
-            return
-        if opened < n_edges:
-            word.append((opened, 1))
-            rec(word, opened + 1, open_set | {opened})
-            word.pop()
-        for e in sorted(open_set):
+
+def _augmentations(circles: tuple[Circle, ...]):
+    """The circles with one more edge, labelled ``_``, which no canonical
+    label is: both arrows at two gaps or at one gap, the second with either
+    sign; or one arrow at a gap and the other alone on a new circle, which
+    covers both signs since that circle can be reversed.  An empty circle
+    has one gap.  Swapping the two arrows, at two gaps or at one, gives the
+    same edge flipped, so only one order is generated."""
+    first = ("_", 1)
+    gaps = [(ci, k) for ci, c in enumerate(circles) for k in range(len(c) or 1)]
+    for i, (ci, k) in enumerate(gaps):
+        yield _put(circles, ci, k, first) + ((first,),)
+        for cj, l in gaps[i:]:
             for s in (1, -1):
-                word.append((e, s))
-                rec(word, opened, open_set - {e})
-                word.pop()
-
-    rec([], 0, frozenset())
-    return out
-
-
-def _compositions(n: int, max_parts: int):
-    """Splits of range(n) into at most max_parts consecutive non-empty runs."""
-    from itertools import combinations
-
-    for k in range(1, min(n, max_parts) + 1):
-        for cuts in combinations(range(1, n), k - 1):
-            bounds = (0, *cuts, n)
-            yield [range(bounds[i], bounds[i + 1]) for i in range(k)]
+                # on one circle k <= l, so gap k stays in place
+                yield _put(_put(circles, cj, l, ("_", s)), ci, k, first)
 
 
 @lru_cache(maxsize=None)
@@ -119,31 +104,41 @@ def enumerate_presentations(spec: EnumerationSpec = EnumerationSpec()) -> tuple[
     """Every presentation within the bounds, one canonical representative per
     class, sorted by canonical form.
 
-    Orderly generation: each class's canonical form is one of the (word,
-    composition) candidates, so only the candidates already in canonical
-    form are kept and no other is canonicalised.  A class with isolated
-    circles is a kept candidate padded with empty circles in front, where
-    its canonical form puts them.
+    Canonical augmentation (McKay, "Isomorph-free exhaustive generation",
+    J. Algorithms 1998): the classes of e + 1 edges are the classes of the
+    :func:`_augmentations` of the representatives of e edges within the
+    circle bound.  They are deduplicated on their minimal encoding, which is
+    not cached, and each new class's representative is built from it once.
+    The first level is one empty circle, or k empty circles for every k
+    within the bound when ``connected_only`` is false.
+
+    Every class is reached, from a parent of one edge fewer and no more
+    circles.  A connected graph has an edge whose deletion keeps it
+    connected and keeps its circle count, or it is a tree and has a leaf
+    edge, whose deletion together with its leaf circle leaves a connected
+    graph with one circle fewer; adding the edge back to the representative
+    of the parent's class is one of its augmentations, up to equivalence.
+    Without ``connected_only``, deleting any edge keeps the circle count.
+    So the circle bound holds for every parent and is applied level by
+    level, and since an augmentation of a connected graph is connected, no
+    connectivity filter is needed.
 
     >>> [g.to_text() for g in enumerate_presentations(EnumerationSpec(1, 2))]
     ['(a+ a+)', '(a+ a-)', '(a+)(a+)']
     """
-    kept = []
-    if not spec.connected_only or spec.max_edges == 0:
-        top = 1 if spec.connected_only else spec.max_circles
-        kept += [ArrowPresentation([()] * k) for k in range(1, top + 1)]
-    for e in range(1, spec.max_edges + 1):
-        for word in _words(e):
-            for parts in _compositions(2 * e, spec.max_circles):
-                circles = tuple(tuple(word[i] for i in part) for part in parts)
-                if not _is_canonical(circles):
-                    continue
-                core = tuple(tuple((f"e{lab}", s) for lab, s in c) for c in circles)
-                if spec.connected_only and not underlying_graph(ArrowPresentation(core)).is_connected():
-                    continue
-                pads = (0,) if spec.connected_only else range(spec.max_circles - len(core) + 1)
-                kept += [ArrowPresentation(((),) * extra + core) for extra in pads]
-    return tuple(sorted(map(canonical_presentation, kept), key=canonicalize))
+    top = 1 if spec.connected_only else spec.max_circles
+    level = [_representative(((),) * k) for k in range(1, top + 1)]
+    out = list(level) if not spec.connected_only or spec.max_edges == 0 else []
+    for _ in range(spec.max_edges):
+        new = dict.fromkeys(
+            _base_canonical(circles)
+            for g in level
+            for circles in _augmentations(g.circles)
+            if len(circles) <= spec.max_circles
+        )
+        level = [_representative(enc) for enc in new]
+        out += level
+    return tuple(sorted(out, key=canonicalize))
 
 
 # ---------------------------------------------------------------------------

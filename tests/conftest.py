@@ -16,8 +16,8 @@ def sweep2():
 @pytest.fixture(scope="session")
 def raw3():
     """The circles of every raw word of 1-3 edges split into at most 4
-    circles, in the enumeration's candidate order."""
-    from ribbonminor.verify import _compositions, _words
+    circles, in the order of the reference generator of tests/oracles.py."""
+    from oracles import _compositions, _words
 
     return [
         [tuple((f"e{word[i][0]}", word[i][1]) for i in part) for part in parts]

@@ -3,14 +3,14 @@
 These deliberately re-derive everything from the raw circle data along a
 different code path: boundary structure via a networkx multigraph on arrow
 endpoints, and equivalence via explicit enumeration of relabellings, edge
-flips, rotations and reversals; canonical forms via the edge-flip mask
-loop; the enumeration by canonicalising every candidate; boundary tracing
-and partial duality via two separate endpoint walks; four test-only
-kernels: the direct deletion properness test, the literal vertex split,
-the counted face-split gate and the trivial-loop test; the arcs of a
-boundary walk or a circle, counted item by item, as the reference for every
-distance and parity gate; the minor search with its first,
-start-dependent caps; and move generation by the public gates, and
+flips, rotations and reversals; canonical forms via the edge-flip mask loop;
+the enumeration by canonicalising every raw (word, composition) candidate,
+as first written; boundary tracing and partial duality via two separate
+endpoint walks; four test-only kernels: the direct deletion properness test,
+the literal vertex split, the counted face-split gate and the trivial-loop
+test; the arcs of a boundary walk or a circle, counted item by item, as the
+reference for every distance and parity gate; the minor search with its
+first, start-dependent caps; and move generation by the public gates, and
 contraction through the partial dual, as first written.
 """
 
@@ -53,7 +53,6 @@ from ribbonminor import minor_ops
 from ribbonminor.arrow_core import MAX_KEY_VERTICES, Segment
 from ribbonminor.minor_ops import _check_label, _fresh_label
 from ribbonminor.minor_search import MinorFamily, _isolated_count, _state_key, _successors
-from ribbonminor.verify import _compositions, _words
 
 
 def _endpoints_in_circle_order(circle):
@@ -287,8 +286,42 @@ def flip_loop_canonicalize(g) -> str:
 
 # The enumeration as first written: every raw (word, composition) candidate
 # is canonicalised, the canonical texts are deduplicated, and each surviving
-# text is re-parsed.  The library keeps only the candidates that are already
-# canonical and must produce the same classes in the same order.
+# text is re-parsed.  The library builds each level of classes from the one
+# below by adding an edge and must produce the same classes in the same order.
+
+
+def _words(n_edges: int):
+    """All token sequences of length 2*n_edges: every edge index appears
+    twice, indices first appear in increasing order, and each first
+    occurrence has positive sign.  Both are normalisations the canonical
+    form also makes, so every class's canonical form, read circle after
+    circle, is one of these words; that makes the reference complete."""
+    out: list[tuple[tuple[int, int], ...]] = []
+
+    def rec(word: list[tuple[int, int]], opened: int, open_set: frozenset[int]):
+        if len(word) == 2 * n_edges:
+            out.append(tuple(word))
+            return
+        if opened < n_edges:
+            word.append((opened, 1))
+            rec(word, opened + 1, open_set | {opened})
+            word.pop()
+        for e in sorted(open_set):
+            for s in (1, -1):
+                word.append((e, s))
+                rec(word, opened, open_set - {e})
+                word.pop()
+
+    rec([], 0, frozenset())
+    return out
+
+
+def _compositions(n: int, max_parts: int):
+    """Splits of range(n) into at most max_parts consecutive non-empty runs."""
+    for k in range(1, min(n, max_parts) + 1):
+        for cuts in combinations(range(1, n), k - 1):
+            bounds = (0, *cuts, n)
+            yield [range(bounds[i], bounds[i + 1]) for i in range(k)]
 
 
 def dedup_enumerate(spec):

@@ -82,8 +82,11 @@ def test_enumeration_matches_dedup_oracle(spec):
 
 
 def test_enumeration_class_counts():
+    # at most 4 circles, and the default bound of max_edges + 1 circles
     counts = [len(enumerate_presentations(EnumerationSpec(e, 4, True))) for e in range(5)]
     assert counts == [1, 3, 14, 77, 588]
+    counts = [len(enumerate_presentations(EnumerationSpec(e))) for e in range(5)]
+    assert counts == [1, 3, 14, 77, 591]
 
 
 @pytest.mark.parametrize(
@@ -93,6 +96,7 @@ def test_enumeration_class_counts():
         ((3, 4, False), 349, "b3e0b379ac6f5c6b302ed20d49812dbd25bb0eeb14f5800a7053141681856131"),
         ((4, 2, True), 446, "c1f4a7b6d4dc8c5f531421425eaf0ad01464b492f7d14173ca39b96d8484e4a2"),
         ((4, 4, True), 588, "2982d3c95b9f77414ddb03c1884e2c32450b07311294c207b22897eed27ed39e"),
+        ((4, 5, True), 591, "7b72d729f6344004a5512d2f8c8d5ad1dd22b8bcd5468171b11e8c72c219b313"),
     ],
     ids=lambda v: "e%d-c%d-%s" % v if isinstance(v, tuple) else None,
 )
