@@ -15,7 +15,7 @@ forms / equivalence testing.
 from __future__ import annotations
 
 import re
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Container, Iterable, NamedTuple, Union
@@ -59,37 +59,45 @@ class ArrowPresentation:
     Every label must occur exactly twice across all circles.  Instances are
     value objects: hashable, comparable, and safe to share.
 
+    ``occurrences`` maps each label, in sorted order, to its two positions
+    ``(circle, index)`` in reading order.  It is built once, by the pass
+    that validates the arrows, and ``labels``, ``n_edges`` and every walk
+    read it.
+
     >>> ArrowPresentation([[("e", 1), ("e", -1)]]).to_text()
     '(e+ e-)'
     """
 
-    __slots__ = ("circles", "_hash", "_occ")
+    __slots__ = ("circles", "occurrences", "_hash")
 
     def __init__(self, circles: Iterable[Iterable[Arrow]] = ()):
         circs = []
-        for circle in circles:
+        occ: dict[str, list[tuple[int, int]]] = {}
+        for ci, circle in enumerate(circles):
             circ = []
             for label, sign in circle:
                 if not isinstance(label, str) or not _LABEL_RE.match(label):
                     raise ArpError(f"bad edge label {label!r}")
                 if sign not in (1, -1):
                     raise ArpError(f"bad sign {sign!r} for label {label!r}")
+                occ.setdefault(label, []).append((ci, len(circ)))
                 circ.append((label, sign))
             circs.append(tuple(circ))
         self.circles: tuple[Circle, ...] = tuple(circs)
-        counts = Counter(lab for c in self.circles for lab, _ in c)
-        for lab, n in sorted(counts.items()):
-            if n != 2:
-                raise ArpError(f"label {lab!r} occurs {n} times (exactly 2 required)")
+        self.occurrences: dict[str, tuple[tuple[int, int], ...]] = {
+            lab: tuple(occ[lab]) for lab in sorted(occ)
+        }
+        for lab, ps in self.occurrences.items():
+            if len(ps) != 2:
+                raise ArpError(f"label {lab!r} occurs {len(ps)} times (exactly 2 required)")
         self._hash = hash(self.circles)
-        self._occ = None
 
     # -- basic views ---------------------------------------------------
 
     @property
     def labels(self) -> tuple[str, ...]:
         """Edge labels in sorted order."""
-        return tuple(sorted({lab for c in self.circles for lab, _ in c}))
+        return tuple(self.occurrences)
 
     @property
     def n_vertices(self) -> int:
@@ -97,18 +105,7 @@ class ArrowPresentation:
 
     @property
     def n_edges(self) -> int:
-        return sum(len(c) for c in self.circles) // 2
-
-    @property
-    def occurrences(self) -> dict[str, tuple[tuple[int, int], tuple[int, int]]]:
-        """Map label -> its two occurrence positions ``(circle, index)``, sorted."""
-        if self._occ is None:
-            occ = defaultdict(list)
-            for ci, circle in enumerate(self.circles):
-                for j, (lab, _) in enumerate(circle):
-                    occ[lab].append((ci, j))
-            self._occ = {lab: tuple(ps) for lab, ps in occ.items()}
-        return self._occ
+        return len(self.occurrences)
 
     def degree(self, circle: int) -> int:
         """Number of arrow occurrences on a circle (a loop contributes 2)."""
@@ -303,7 +300,7 @@ def _boundary_arcs(g: ArrowPresentation, jumped: Container[str]) -> list[int]:
             # entry the other way round
             ends += (n + 2 * j + (circle[j][1] > 0), n + 2 * k + (circle[k][1] < 0))
         n += 2 * d
-    for lab, ((c1, p1), (c2, p2)) in sorted(g.occurrences.items()):
+    for lab, ((c1, p1), (c2, p2)) in g.occurrences.items():
         t1, t2 = base[c1] + 2 * p1, base[c2] + 2 * p2
         ends += (t1 + 1, t2, t2 + 1, t1) if lab in jumped else (t1, t1 + 1, t2, t2 + 1)
     return ends
@@ -473,7 +470,7 @@ def _two_colouring(n: int, pairs: Iterable[tuple[int, int]]) -> dict[int, int] |
 @lru_cache(maxsize=None)
 def underlying_graph(g: ArrowPresentation) -> UnderlyingGraph:
     edges = []
-    for lab, ((c1, _), (c2, _)) in sorted(g.occurrences.items()):
+    for lab, ((c1, _), (c2, _)) in g.occurrences.items():
         edges.append((lab, min(c1, c2), max(c1, c2)))
     return UnderlyingGraph(g.n_vertices, tuple(edges))
 
@@ -549,6 +546,9 @@ def _base_canonical(circles: tuple[Circle, ...]) -> tuple:
     empty = tuple(() for c in circles if not c)
     circles = tuple(c for c in circles if c)
     variants = [_circle_variants(c) for c in circles]
+    # identical circles, such as the two of (a+)(a+), encode alike and leave
+    # equal remainders, so only the first of them left is encoded
+    first = [circles.index(c) for c in circles]
 
     def rec(remaining: frozenset[int], mapping: _Firsts) -> tuple:
         if not remaining:
@@ -557,6 +557,8 @@ def _base_canonical(circles: tuple[Circle, ...]) -> tuple:
         # holds a few label mappings, not one per remaining circle variant
         best_enc, ties = None, []
         for ci in remaining:
+            if first[ci] != ci and first[ci] in remaining:
+                continue
             for var in variants[ci]:
                 enc, m = _encode_circle(var, mapping)
                 if best_enc is None or enc < best_enc:
@@ -564,12 +566,7 @@ def _base_canonical(circles: tuple[Circle, ...]) -> tuple:
                 if enc == best_enc:
                     ties.append((ci, m))
         best = None
-        seen_branch = set()
         for ci, m in ties:
-            sig = (tuple(sorted(m.items())), tuple(sorted(circles[i] for i in remaining if i != ci)))
-            if sig in seen_branch:
-                continue
-            seen_branch.add(sig)
             rest = rec(remaining - {ci}, m)
             if best is None or rest < best:
                 best = rest

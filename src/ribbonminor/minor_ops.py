@@ -230,9 +230,8 @@ def is_proper_deletion(g: ArrowPresentation, e: str) -> bool:
 
 
 def _fresh_label(g: ArrowPresentation) -> str:
-    used = set(g.labels)
     i = 0
-    while f"_tmp{i}" in used:
+    while f"_tmp{i}" in g.occurrences:
         i += 1
     return f"_tmp{i}"
 

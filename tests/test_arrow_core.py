@@ -58,6 +58,39 @@ def test_parse_rejects_wrong_label_count():
         P("a+ a+ a-\n")
 
 
+def test_constructor_reports_first_bad_arrow_label_before_sign():
+    A = ArrowPresentation
+    with pytest.raises(ArpError, match=r"^bad edge label 'x!'$"):
+        A([[("a", 1)], [("x!", 0), ("b", 2)]])
+    with pytest.raises(ArpError, match=r"^bad sign 0 for label 'a'$"):
+        A([[("a", 0), ("x!", 1)]])
+    # within one arrow the label is checked before the sign
+    with pytest.raises(ArpError, match=r"^bad edge label 'x!'$"):
+        A([[("x!", 0)]])
+    # every arrow is checked before any label count
+    with pytest.raises(ArpError, match=r"^bad sign 5 for label 'b'$"):
+        A([[("a", 1)], [("b", 5)]])
+
+
+def test_constructor_reports_least_label_with_wrong_count():
+    with pytest.raises(ArpError, match=r"^label 'b' occurs 3 times \(exactly 2 required\)$"):
+        ArrowPresentation([[("z", 1)], [("b", 1), ("b", 1), ("b", -1)], [("c", 1), ("c", 1)]])
+
+
+@pytest.mark.parametrize(
+    "arrow, message",
+    [
+        ((["a"], 1), r"^bad edge label \['a'\]$"),
+        ((1, 1), r"^bad edge label 1$"),
+        ((None, 1), r"^bad edge label None$"),
+        (("a", [1]), r"^bad sign \[1\] for label 'a'$"),
+    ],
+)
+def test_constructor_rejects_non_string_or_unhashable_input(arrow, message):
+    with pytest.raises(ArpError, match=message):
+        ArrowPresentation([[arrow, arrow]])
+
+
 def test_parse_rejects_stray_text():
     with pytest.raises(ArpError, match="stray"):
         P("(a+ a-) junk")

@@ -136,6 +136,19 @@ def test_text_round_trips(g):
 
 
 @settings(max_examples=60, deadline=None)
+@given(presentations(max_edges=12, max_circles=4))
+def test_occurrence_table_matches_a_recount(g):
+    # with 11 or more edges, string order (e10 < e2) differs from edge order
+    positions = {}
+    for ci, c in enumerate(g.circles):
+        for j, (lab, _) in enumerate(c):
+            positions.setdefault(lab, []).append((ci, j))
+    assert list(g.occurrences.items()) == [(lab, tuple(positions[lab])) for lab in sorted(positions)]
+    assert g.labels == tuple(sorted(positions))
+    assert g.n_edges == sum(len(c) for c in g.circles) // 2
+
+
+@settings(max_examples=60, deadline=None)
 @given(presentations())
 def test_boundary_structure_laws(g):
     comps = trace_boundaries(g)
