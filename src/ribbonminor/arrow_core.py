@@ -511,68 +511,160 @@ def euler_genus(g: ArrowPresentation) -> int:
 # occurrence precedes its second, so the minimum makes it +.
 
 
-def _circle_variants(circle: Circle) -> tuple[Circle, ...]:
-    if not circle:
-        return ((),)
-    variants = set()
-    reversed_flipped = tuple((lab, -s) for lab, s in reversed(circle))
-    for base in (circle, reversed_flipped):
-        for r in range(len(base)):
-            variants.add(base[r:] + base[:r])
-    return tuple(sorted(variants))
-
-
-#: label -> (index, sign of its first occurrence), for the labels met so far
-_Firsts = dict[str, tuple[int, Sign]]
-
-
-def _encode_circle(variant: Circle, mapping: _Firsts) -> tuple[tuple, _Firsts]:
-    m = dict(mapping)
-    enc = []
-    for lab, s in variant:
-        first = m.get(lab)
-        if first is None:
-            first = m[lab] = (len(m), s)
-        enc.append((first[0], 0 if s == first[1] else 1))
-    return tuple(enc), m
+#: label -> its two arrows as (circle, position, sign)
+_Where = dict[str, list[tuple[int, int, Sign]]]
 
 
 def _base_canonical(circles: tuple[Circle, ...]) -> tuple:
     """Minimal encoding over circle order, rotations, reversals, relabelling.
 
-    Empty circles encode as ``()``, below every other circle, so they lead
-    every minimal encoding and only the other circles are searched over.
+    Empty circles encode as ``()``, below every other circle, so they lead.
+    The others are placed one at a time, each read as one of its *variants*
+    (a rotation, or a rotation of its reversal with every sign flipped),
+    and encodings compare circle by circle.  With n labels met so far, a
+    label is *open* when one of its arrows is placed and the other is not.
+
+    While a label is open the next circle is forced: it is the circle
+    holding the unplaced arrow of the least open label m, read from that
+    arrow in the direction that gives it bit 0.  Proof: a circle holding no
+    arrow of a met label starts with (n, 0) in every variant, its first
+    label being new.  A circle holding the unplaced arrow of an open label
+    i has a variant that starts there, with (i, bit) below (n, 0): a circle
+    adjacent to the placed ones always starts below (n, 0), and the least
+    possible start is (m, 0).  Label m has one unplaced arrow, and of the
+    two variants that start at it, one reads its sign as placed and the
+    other flips it, so exactly one variant of one circle starts with
+    (m, 0).  So while a label is open the next circle is adjacent to the
+    placed ones, and when none is, every component is placed whole or not
+    at all (an unplaced circle of a partly placed component would hold an
+    open label's arrow): components are contiguous, each one's encoding is
+    fixed by its first circle, and only those first circles, the *roots*,
+    can tie.
+
+    At the start of a component every label is new, so a root encodes as
+    its own encoding with n added to each label index, which keeps order;
+    each component is therefore encoded on its own, by completing each of
+    its least roots, and the least completion wins.  The open labels after
+    some circles can be read from their encoding, so no component's
+    encoding is a proper prefix of another's (that one would be complete
+    there), and of two components the lesser goes first: they come in
+    sorted order, their label indices shifted past the ones before them.
+    A component with E edges has at most 4E root variants of O(E) arrows,
+    and a completion reads each arrow once, so it takes O(E^2).
+
+    Internally an arrow (i, bit) is the integer 2i + bit, in the same order.
     """
-    empty = tuple(() for c in circles if not c)
-    circles = tuple(c for c in circles if c)
-    variants = [_circle_variants(c) for c in circles]
-    # identical circles, such as the two of (a+)(a+), encode alike and leave
-    # equal remainders, so only the first of them left is encoded
-    first = [circles.index(c) for c in circles]
-
-    def rec(remaining: frozenset[int], mapping: _Firsts) -> tuple:
-        if not remaining:
-            return ()
-        # only the ties of the least encoding so far are kept, so a level
-        # holds a few label mappings, not one per remaining circle variant
-        best_enc, ties = None, []
-        for ci in remaining:
-            if first[ci] != ci and first[ci] in remaining:
-                continue
-            for var in variants[ci]:
-                enc, m = _encode_circle(var, mapping)
-                if best_enc is None or enc < best_enc:
-                    best_enc, ties = enc, []
-                if enc == best_enc:
-                    ties.append((ci, m))
+    where: _Where = {}
+    for ci, c in enumerate(circles):
+        for j, (lab, s) in enumerate(c):
+            where.setdefault(lab, []).append((ci, j, s))
+    rev = [tuple((lab, -s) for lab, s in reversed(c)) for c in circles]
+    placed = [False] * len(circles)
+    comps = []
+    for c0, circle in enumerate(circles):
+        if placed[c0] or not circle:
+            continue
+        placed[c0] = True
+        comp = [c0]
+        for ci in comp:  # grows while it is read: a breadth-first search
+            for lab, _ in circles[ci]:
+                for cj, _, _ in where[lab]:
+                    if not placed[cj]:
+                        placed[cj] = True
+                        comp.append(cj)
+        roots = _roots(circles, rev, comp)
         best = None
-        for ci, m in ties:
-            rest = rec(remaining - {ci}, m)
-            if best is None or rest < best:
-                best = rest
-        return (best_enc,) + best
+        # the tied roots of a one-circle component all encode as its least row
+        for ci, seq in roots[:1] if len(comp) == 1 else roots:
+            rows = _complete(circles, rev, where, ci, seq, best)
+            if rows is not None:
+                best = rows
+        comps.append(best)
+    out = [() for c in circles if not c]
+    shift = 0
+    for rows in sorted(comps):
+        out += (tuple(((x >> 1) + shift, x & 1) for x in row) for row in rows)
+        shift += sum(map(len, rows)) // 2
+    return tuple(out)
 
-    return empty + rec(frozenset(range(len(circles))), {})
+
+def _roots(circles: tuple[Circle, ...], rev: list[Circle], comp: list[int]) -> list[tuple[int, Circle]]:
+    """The variants of the circles in ``comp`` with the least own encoding,
+    as (circle, variant); each variant is read only as far as it ties."""
+    roots: list[tuple[int, Circle]] = []
+    best: list[int] = []  # the roots' encoding, then -1: a longer variant loses
+    for ci in comp:
+        n = len(circles[ci])
+        for twice in (circles[ci] * 2, rev[ci] * 2):
+            for p in range(n):
+                seq = twice[p : p + n]
+                firsts: dict[str, tuple[int, Sign]] = {}
+                row: list[int] = []
+                new = 0  # the code of the next new label
+                tied = bool(roots)
+                for t, (lab, s) in enumerate(seq):
+                    f = firsts.get(lab)
+                    if f is None:
+                        x = new
+                        firsts[lab] = (x, s)
+                        new += 2
+                    else:
+                        x = f[0] + (s != f[1])
+                    if tied:
+                        y = best[t]
+                        if x != y:
+                            if x > y:
+                                break
+                            tied = False
+                    row.append(x)
+                else:
+                    if tied and len(row) == len(best) - 1:
+                        roots.append((ci, seq))
+                    else:
+                        best, roots = row + [-1], [(ci, seq)]
+    return roots
+
+
+def _complete(
+    circles: tuple[Circle, ...], rev: list[Circle], where: _Where, ci: int, seq: Circle, best: list[list[int]] | None
+) -> list[list[int]] | None:
+    """The encoding of the component whose first circle is ``ci`` read as
+    ``seq``, each later circle forced (see :func:`_base_canonical`); None as
+    soon as it is above ``best``."""
+    firsts: dict[str, tuple[int, Sign]] = {}
+    # per label index: its unplaced arrow as (circle, position, direction
+    # that reads it with bit 0), or None once both arrows are placed
+    unplaced: list[tuple[int, int, int] | None] = []
+    rows: list[list[int]] = []
+    m = 0  # no label below m is open
+    less = best is None
+    while True:
+        row = []
+        for lab, s in seq:
+            f = firsts.get(lab)
+            if f is None:
+                x = 2 * len(unplaced)
+                firsts[lab] = (x, s)
+                a, b = where[lab]
+                cj, j, t = b if a[0] == ci else a
+                unplaced.append((cj, j, t * s))
+            else:
+                x = f[0] + (s != f[1])
+                unplaced[x >> 1] = None
+            row.append(x)
+        if not less:
+            if row > best[len(rows)]:
+                return None
+            less = row < best[len(rows)]
+        rows.append(row)
+        while m < len(unplaced) and unplaced[m] is None:
+            m += 1
+        if m == len(unplaced):
+            return rows
+        ci, j, d = unplaced[m]
+        c = circles[ci] if d > 0 else rev[ci]
+        j = j if d > 0 else len(c) - 1 - j
+        seq = c[j:] + c[:j]
 
 
 def _canonical_label(i: int) -> str:

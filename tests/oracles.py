@@ -3,7 +3,8 @@
 These deliberately re-derive everything from the raw circle data along a
 different code path: boundary structure via a networkx multigraph on arrow
 endpoints, and equivalence via explicit enumeration of relabellings, edge
-flips, rotations and reversals; canonical forms via the edge-flip mask loop;
+flips, rotations and reversals; canonical forms via the edge-flip mask loop,
+and the minimal encoding via the recursive search over circle order;
 the enumeration by canonicalising every raw (word, composition) candidate,
 as first written; boundary tracing and partial duality via two separate
 endpoint walks; four test-only kernels: the direct deletion properness test,
@@ -50,7 +51,7 @@ from ribbonminor import (
     vls_dual_distance,
 )
 from ribbonminor import minor_ops
-from ribbonminor.arrow_core import MAX_KEY_VERTICES, Segment
+from ribbonminor.arrow_core import MAX_KEY_VERTICES, Circle, Segment, Sign
 from ribbonminor.minor_ops import _check_label, _fresh_label
 from ribbonminor.minor_search import MinorFamily, _isolated_count, _state_key, _successors
 
@@ -197,6 +198,77 @@ def brute_equivalent(g, h) -> bool:
                 if _multiset_key(flipped) == target:
                     return True
     return False
+
+
+# The minimal encoding as last searched: the flip-invariant encoding of the
+# library, minimised by a recursive search over circle order that keeps the
+# ties of each level's least circle and skips identical circles.  Factorial
+# in the number of identical components; the library's rooted, component-wise
+# construction must give the same encoding on every input.
+
+
+def _circle_variants(circle: Circle) -> tuple[Circle, ...]:
+    if not circle:
+        return ((),)
+    variants = set()
+    reversed_flipped = tuple((lab, -s) for lab, s in reversed(circle))
+    for base in (circle, reversed_flipped):
+        for r in range(len(base)):
+            variants.add(base[r:] + base[:r])
+    return tuple(sorted(variants))
+
+
+#: label -> (index, sign of its first occurrence), for the labels met so far
+_Firsts = dict[str, tuple[int, Sign]]
+
+
+def _encode_circle(variant: Circle, mapping: _Firsts) -> tuple[tuple, _Firsts]:
+    m = dict(mapping)
+    enc = []
+    for lab, s in variant:
+        first = m.get(lab)
+        if first is None:
+            first = m[lab] = (len(m), s)
+        enc.append((first[0], 0 if s == first[1] else 1))
+    return tuple(enc), m
+
+
+def search_base_canonical(circles: tuple[Circle, ...]) -> tuple:
+    """Minimal encoding over circle order, rotations, reversals, relabelling.
+
+    Empty circles encode as ``()``, below every other circle, so they lead
+    every minimal encoding and only the other circles are searched over.
+    """
+    empty = tuple(() for c in circles if not c)
+    circles = tuple(c for c in circles if c)
+    variants = [_circle_variants(c) for c in circles]
+    # identical circles, such as the two of (a+)(a+), encode alike and leave
+    # equal remainders, so only the first of them left is encoded
+    first = [circles.index(c) for c in circles]
+
+    def rec(remaining: frozenset[int], mapping: _Firsts) -> tuple:
+        if not remaining:
+            return ()
+        # only the ties of the least encoding so far are kept, so a level
+        # holds a few label mappings, not one per remaining circle variant
+        best_enc, ties = None, []
+        for ci in remaining:
+            if first[ci] != ci and first[ci] in remaining:
+                continue
+            for var in variants[ci]:
+                enc, m = _encode_circle(var, mapping)
+                if best_enc is None or enc < best_enc:
+                    best_enc, ties = enc, []
+                if enc == best_enc:
+                    ties.append((ci, m))
+        best = None
+        for ci, m in ties:
+            rest = rec(remaining - {ci}, m)
+            if best is None or rest < best:
+                best = rest
+        return (best_enc,) + best
+
+    return empty + rec(frozenset(range(len(circles))), {})
 
 
 # The canonical form as first written: the plain sign encoding (bit 0 for +),

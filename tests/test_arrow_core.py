@@ -3,9 +3,11 @@ import pytest
 from ribbonminor import (
     ArpError,
     ArrowPresentation,
+    EnumerationSpec,
     VertexLineSegment,
     canonical_presentation,
     canonicalize,
+    enumerate_presentations,
     euler_genus,
     format_arp,
     is_equivalent,
@@ -13,6 +15,8 @@ from ribbonminor import (
     trace_boundaries,
     underlying_graph,
 )
+from ribbonminor.arrow_core import _base_canonical
+from ribbonminor.verify import _augmentations
 from oracles import (
     _compositions,
     _words,
@@ -22,6 +26,7 @@ from oracles import (
     flip_loop_canonicalize,
     nx_boundary_partition,
     nx_euler_genus,
+    search_base_canonical,
 )
 
 P = parse_arp
@@ -313,8 +318,8 @@ def test_single_circle_reversal_preserves_everything(sweep2):
 
 
 def test_canonicalize_memory_on_long_path():
-    # the canonical search keeps only the ties of each level's least
-    # encoding, not every circle variant: a 100-circle path stays small
+    # the canonical form keeps the tied roots and two completions, not every
+    # circle variant: a 100-circle path stays small
     import tracemalloc
 
     n = 100
@@ -328,3 +333,29 @@ def test_canonicalize_memory_on_long_path():
         tracemalloc.stop()
     assert peak < 5 * 2**20
     assert canon.count("(") == n
+
+
+@pytest.mark.parametrize("connected_only", [True, False])
+def test_base_canonical_matches_search_on_augmentation_candidates(connected_only):
+    # every candidate the enumeration deduplicates on, up to 4 edges: the
+    # rooted construction gives the encoding of the recursive search
+    for g in enumerate_presentations(EnumerationSpec(3, connected_only=connected_only)):
+        for circles in _augmentations(g.circles):
+            assert _base_canonical(circles) == search_base_canonical(circles), circles
+
+
+@pytest.mark.parametrize("piece", ["(x+ x+)", "(x+)(x+)"])
+def test_canonicalize_many_identical_components(piece):
+    # 12 identical components tie in every order; each is encoded once
+    import time
+
+    g = P("".join(piece.replace("x", f"x{i}") for i in range(12)))
+    start = time.perf_counter()
+    text = canonicalize(g)
+    assert time.perf_counter() - start < 2.0
+    assert text == "".join(piece.replace("x", c) for c in "abcdefghijkl")
+
+
+def test_canonicalize_mixed_identical_components():
+    text = "(x0+ x0+)(x1+ x1-)(x2+ x2+)(x3+ x3-)(x4+ x4+)(x5+ x5-)(q+)(q+)(r+ s+)(r+ s-)"
+    assert canonicalize(P(text)) == "(a+)(a+)(b+ b+)(c+ c+)(d+ d+)(e+ e-)(f+ f-)(g+ g-)(h+ i+)(h+ i-)"

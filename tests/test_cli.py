@@ -177,13 +177,24 @@ def test_minor_join_family_vertex_limit(tmp_path, capsys):
 
 
 def test_info_many_isolated_circles(tmp_path, capsys):
-    # one search level per non-empty circle only: 1,100 empty circles must
-    # not exhaust the recursion limit
+    # empty circles are counted, not searched: 1,100 of them end in a result
     path = _write(tmp_path, "g.arp", "()\n" * 1100)
     assert main(["info", path]) == 0
     out = capsys.readouterr().out
     assert "V=1100 E=0 F=1100" in out
     assert out.endswith("canonical: " + "()" * 1100 + "\n")
+
+
+def test_info_long_path(tmp_path, capsys):
+    # the canonical form does not recurse per circle: a path of 1,100
+    # circles ends in a result, not a RecursionError
+    n = 1100
+    text = "\n".join(["m0+"] + [f"m{i}+ m{i + 1}+" for i in range(n - 2)] + [f"m{n - 2}+"])
+    path = _write(tmp_path, "g.arp", text + "\n")
+    assert main(["info", path]) == 0
+    out = capsys.readouterr().out
+    assert f"V={n} E={n - 1}" in out
+    assert "canonical: (a+)(a+ b+)(b+ c+)" in out
 
 
 # one successful move of each kind on a bouquet of two interleaved loops and a

@@ -7,11 +7,13 @@ from hypothesis import given, settings, strategies as st
 from ribbonminor import (
     ArpError,
     ArrowPresentation,
+    EnumerationSpec,
     can_split_face,
     canonical_presentation,
     canonicalize,
     contract_edge,
     delete_edge,
+    enumerate_presentations,
     euler_genus,
     format_arp,
     geometric_dual,
@@ -25,9 +27,10 @@ from ribbonminor import (
     partial_dual,
     trace_boundaries,
 )
-from ribbonminor.arrow_core import EdgeLineSegment, _base_canonical, _encode_circle
+from ribbonminor.arrow_core import EdgeLineSegment, _base_canonical
 from ribbonminor.minor_search import MinorFamily, applicable_moves
 from oracles import (
+    _encode_circle,
     applicable_moves_by_gates,
     assert_cuts_match_counted,
     assert_moves_match_partial_dual_route,
@@ -39,6 +42,7 @@ from oracles import (
     is_proper_deletion_direct,
     nx_is_bipartite,
     nx_is_checkerboard_colourable,
+    search_base_canonical,
 )
 
 
@@ -125,6 +129,32 @@ def _own_encoding(circles):
 def test_canonical_representative_is_its_own_minimal_encoding(g):
     rep = canonical_presentation(g)
     assert _base_canonical(rep.circles) == _own_encoding(rep.circles)
+
+
+@st.composite
+def repeated_components(draw):
+    """Disconnected presentations: one connected class of at most two edges
+    two or three times, maybe one more class, and up to two isolated
+    circles, under fresh labels and in a drawn circle order.  Four
+    components at most, since the recursive search is factorial in the
+    number of identical ones."""
+    classes = st.sampled_from(enumerate_presentations(EnumerationSpec(2)))
+    pieces = [draw(classes)] * draw(st.integers(2, 3)) + draw(st.lists(classes, max_size=1))
+    circles = [()] * draw(st.integers(0, 2))
+    for i, piece in enumerate(pieces):
+        circles += [tuple((f"p{i}{lab}", s) for lab, s in c) for c in piece.circles]
+    return ArrowPresentation(draw(st.permutations(circles)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(repeated_components(), st.integers(0, 2**32 - 1))
+def test_minimal_encoding_matches_search_on_repeated_components(g, seed):
+    rng = random.Random(seed)
+    h = g
+    for _ in range(6):
+        h = _random_equivalence_move(h, rng)
+    assert _base_canonical(h.circles) == search_base_canonical(h.circles)
+    assert canonicalize(h) == canonicalize(g)
 
 
 @settings(max_examples=60, deadline=None)
