@@ -515,6 +515,11 @@ def euler_genus(g: ArrowPresentation) -> int:
 _Where = dict[str, list[tuple[int, int, Sign]]]
 
 
+def _reversed(c: Circle) -> Circle:
+    """Circle c read the other way round: reversed, every sign flipped."""
+    return tuple((lab, -s) for lab, s in reversed(c))
+
+
 def _base_canonical(circles: tuple[Circle, ...]) -> tuple:
     """Minimal encoding over circle order, rotations, reversals, relabelling.
 
@@ -558,7 +563,7 @@ def _base_canonical(circles: tuple[Circle, ...]) -> tuple:
     for ci, c in enumerate(circles):
         for j, (lab, s) in enumerate(c):
             where.setdefault(lab, []).append((ci, j, s))
-    rev = [tuple((lab, -s) for lab, s in reversed(c)) for c in circles]
+    rev = list(map(_reversed, circles))
     placed = [False] * len(circles)
     comps = []
     for c0, circle in enumerate(circles):

@@ -50,6 +50,8 @@ def partial_dual(g: ArrowPresentation, edges: Iterable[str]) -> ArrowPresentatio
     >>> canonicalize(partial_dual(g, {"e"}))
     '(a+)(a+)'
     """
+    if isinstance(edges, str):
+        raise ArpError(f"edge labels must be given as a collection, not the string {edges!r}")
     a = frozenset(edges)
     if not a:
         return g

@@ -18,8 +18,9 @@ from .arrow_core import (
     ArpError,
     ArrowPresentation,
     BoundaryComponent,
+    Circle,
     Segment,
-    VertexLineSegment,
+    _reversed,
     trace_boundaries,
     underlying_graph,
 )
@@ -229,11 +230,13 @@ def is_proper_deletion(g: ArrowPresentation, e: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _fresh_label(g: ArrowPresentation) -> str:
-    i = 0
-    while f"_tmp{i}" in g.occurrences:
-        i += 1
-    return f"_tmp{i}"
+def _cut_circle(c: Circle, j: int, k: int) -> tuple[Circle, Circle]:
+    """The two arcs of circle c between gaps j and k, each read along c; with
+    j == k, c read from gap j and an empty arc."""
+    j, k = sorted((j, k))
+    if j == k:
+        return c[j + 1 :] + c[: j + 1], ()
+    return c[j + 1 : k + 1], c[k + 1 :] + c[: j + 1]
 
 
 def can_split_vertex(g: ArrowPresentation, circle: int, p: int, q: int) -> bool:
@@ -255,24 +258,9 @@ def split_vertex(g: ArrowPresentation, circle: int, p: int, q: int) -> ArrowPres
     """
     if not can_split_vertex(g, circle, p, q):
         raise ArpError("dual distance is odd")
-    c = g.circles[circle]
-    p, q = sorted((p, q))
-    if p == q:
-        arc_a, arc_b = c[p + 1 :] + c[: p + 1], ()
-    else:
-        arc_a, arc_b = c[p + 1 : q + 1], c[q + 1 :] + c[: p + 1]
     return ArrowPresentation(
-        g.circles[:circle] + (arc_a, arc_b) + g.circles[circle + 1 :]
+        g.circles[:circle] + _cut_circle(g.circles[circle], p, q) + g.circles[circle + 1 :]
     )
-
-
-def _insert_at_gap(circles: list[tuple], gap: VertexLineSegment, arrow) -> None:
-    ci, j = gap
-    c = circles[ci]
-    if not c:
-        circles[ci] = (arrow,)
-    else:
-        circles[ci] = c[: j + 1] + (arrow,) + c[j + 1 :]
 
 
 def can_split_face(g: ArrowPresentation, b: int, p: int, q: int) -> bool:
@@ -294,31 +282,62 @@ def can_split_face(g: ArrowPresentation, b: int, p: int, q: int) -> bool:
 
 def split_face(g: ArrowPresentation, b: int, p: int, q: int) -> ArrowPresentation:
     """Evenly split a face: p and q are positions of vertex line segments on
-    boundary component b.  A fresh edge is placed on those two segments,
-    directed consistently along the walk, and contracted.
+    boundary component b.
+
+    The split places a new edge x on the two segments, its arrows directed
+    along the walk, and contracts it; the result is read off g's circles
+    directly.  Let gap j of circle ci be at walk position p, walked in
+    direction s, and gap k of circle ck at q, walked in direction t.
+    (i) ci != ck: the two circles merge, each read from its gap in its walk
+    direction (read backwards, with its signs flipped, for -1).
+    (ii) ci == ck and s == t: the circle is cut at the two gaps, as
+    :func:`split_vertex` cuts it; p == q is j == k, and the empty arc closes
+    into an isolated circle.
+    (iii) ci == ck and s != t: one circle remains, the first arc of the cut
+    followed by the second, reversed with its signs flipped.
+    The new circles take ci's place; every other circle keeps its text, and
+    the circles keep their order.
+
+    Proof: x is a non-loop in (i), an orientable loop in (ii) and a
+    non-orientable loop in (iii).  Contracting x dualises at x and deletes
+    it, so the new circles are traced along the circles of g, away from x's
+    arrows, and along x's two jump segments, each from the head of one
+    arrow of x to the tail of the other (Chmutov, JCTB 2009).  Read a circle
+    from an arrow of x on it, reversed with its signs flipped when that
+    arrow is -, so the arrow reads x+.  In (i), the rest of each circle is
+    then the circle read from its gap in its walk direction, and in
+    (x+ A)(x+ B) the head of the first x runs through A to its tail, jumps
+    to the head of the second, runs through B to its tail and jumps home:
+    one circle (A B).  In (ii), (x+ A x+ B): the head of the first x runs
+    through A to the tail of the second and jumps home, and likewise for B,
+    so the arcs A and B close into two circles, each of which may be read
+    either way round.  In (iii), (x+ A x- B): the second x is met head
+    first, so the head of the first x runs through A, jumps from the head
+    of the second to the tail of the first, runs back through B against the
+    circle to the tail of the second and jumps home: one circle, A followed
+    by B reversed with its signs flipped.  Reading the circle from the
+    other arrow of x instead reverses that circle, which changes no class.
+
+    Merging the first two circles of a triangle at its first face:
+
+    >>> g = ArrowPresentation.from_text("(a+ b+)(b+ c+)(c+ a+)")
+    >>> split_face(g, 0, 0, 2).to_text()
+    '(b+ a+ c+ b+)(c+ a+)'
     """
     if not can_split_face(g, b, p, q):
         raise ArpError("distance is odd")
-    comp = trace_boundaries(g)[b]
-    x = _fresh_label(g)
+    walk = trace_boundaries(g)[b]
+    (ci, j), (ck, k) = walk.segments[p], walk.segments[q]
+    s, t = walk.directions[p], walk.directions[q]
     circles = list(g.circles)
-    if p == q:
-        ci, j = comp.segments[p]
-        s = comp.directions[p]
-        c = circles[ci]
-        # both arrows land in the same gap, adjacent and consistent
-        circles[ci] = ((x, s), (x, s)) if not c else c[: j + 1] + ((x, s), (x, s)) + c[j + 1 :]
+    if ci != ck:
+        arc_p, arc_q = _cut_circle(circles[ci], j, j)[0], _cut_circle(circles[ck], k, k)[0]
+        circles[ci] = (arc_p if s > 0 else _reversed(arc_p)) + (arc_q if t > 0 else _reversed(arc_q))
+        del circles[ck]
     else:
-        gap_p, gap_q = comp.segments[p], comp.segments[q]
-        s_p, s_q = comp.directions[p], comp.directions[q]
-        # insert into the later gap first so the earlier index stays valid
-        first, second = sorted(
-            [(gap_p, s_p), (gap_q, s_q)], key=lambda t: (t[0].circle, t[0].gap), reverse=True
-        )
-        _insert_at_gap(circles, first[0], (x, first[1]))
-        _insert_at_gap(circles, second[0], (x, second[1]))
-    inserted = ArrowPresentation(circles)
-    return contract_edge(inserted, x)
+        arc_a, arc_b = _cut_circle(circles[ci], j, k)
+        circles[ci : ci + 1] = (arc_a, arc_b) if s == t else (arc_a + _reversed(arc_b),)
+    return ArrowPresentation(circles)
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,16 @@ def test_partial_dual_unknown_label():
         partial_dual(P("(e+ e+)"), {"z"})
 
 
+def test_partial_dual_rejects_a_bare_string():
+    # a string would be read as its characters: "e1" as the labels e and 1,
+    # "ef" as e and f
+    for text, labels in (("(e1+ f+ e1+ f+)", "e1"), ("(e+ f+ e+ f+)", "ef")):
+        with pytest.raises(ArpError) as err:
+            partial_dual(P(text), labels)
+        assert str(err.value) == f"edge labels must be given as a collection, not the string {labels!r}"
+    assert is_equivalent(partial_dual(P("(e1+ f+ e1+ f+)"), ["e1"]), partial_dual(P("(a+ b+ a+ b+)"), ["a"]))
+
+
 def test_geometric_dual_examples():
     assert is_equivalent(geometric_dual(P("(e+ e+)")), P("(e+)(e+)"))
     assert is_equivalent(geometric_dual(P("(e+)(e+)")), P("(e+ e+)"))

@@ -29,6 +29,7 @@ from ribbonminor import (
 from ribbonminor.minor_search import MinorFamily, applicable_moves
 from oracles import (
     assert_cuts_match_counted,
+    assert_face_splits_match_insertion,
     assert_moves_match_partial_dual_route,
     can_split_face_counted,
     contract_via_partial_dual,
@@ -223,6 +224,17 @@ def test_split_face_matches_dual_vertex_split(sweep2):
             if mv.kind == "split-vertex"
         }
         assert face_results == transported, g
+
+
+def test_split_face_matches_insertion(sweep3):
+    for g in sweep3:
+        assert_face_splits_match_insertion(g)
+
+
+def test_split_face_keeps_untouched_circles():
+    # the split reads circle 0 only; the others keep their text and order
+    g = P("(a+ b+ c+ a+)(c+ d+ b- d+)(e+ e+)")
+    assert split_face(g, 0, 0, 0).to_text() == "(b+ c+ a+ a+)()(c+ d+ b- d+)(e+ e+)"
 
 
 def test_split_face_p_equals_q_always_valid(sweep2):
