@@ -16,6 +16,13 @@ pruning depends only on the state and the target, never on where the
 search started (the rule and its proof are in :func:`_search`), so a
 search that runs out records every state it reached as not containing the
 target, and later searches skip those states.
+
+The excluded-minor predicates of the four ribbon families ask instead
+whether a state reaches *some* target of a list.  :func:`_reaches_any`
+answers that in one depth-first pass per list, stopping at the first
+successor that reaches, and records True and False for every state it
+settles; :func:`_search` is its reference.  The join family's predicate
+keeps the search.
 """
 
 from __future__ import annotations
@@ -72,21 +79,24 @@ class MinorFamily(str, Enum):
     BIPARTITE_JOIN = "join"
 
     @classmethod
+    def _missing_(cls, name) -> "MinorFamily":
+        """Resolve the aliases and any letter case, so that ``MinorFamily(x)``
+        and every function taking a family accept what :meth:`parse` does.
+
+        >>> MinorFamily("checkerboard") is MinorFamily("CC") is MinorFamily.CHECKERBOARD
+        True
+        """
+        aliases = {"evenface": "even-face", "checkerboard": "cc", "bipartite-join": "join"}
+        if isinstance(name, str):
+            value = aliases.get(name.lower(), name.lower())
+            for member in cls:
+                if member.value == value:
+                    return member
+        raise ArpError(f"unknown minor family {name!r}")
+
+    @classmethod
     def parse(cls, name: str) -> "MinorFamily":
-        aliases = {
-            "eulerian": cls.EULERIAN,
-            "even-face": cls.EVEN_FACE,
-            "evenface": cls.EVEN_FACE,
-            "cc": cls.CHECKERBOARD,
-            "checkerboard": cls.CHECKERBOARD,
-            "bipartite": cls.BIPARTITE,
-            "join": cls.BIPARTITE_JOIN,
-            "bipartite-join": cls.BIPARTITE_JOIN,
-        }
-        try:
-            return aliases[name.lower()]
-        except KeyError:
-            raise ArpError(f"unknown minor family {name!r}") from None
+        return cls(name)
 
 
 # The split generators read the cut rule directly: the positions they make
@@ -184,7 +194,8 @@ def _state_key(g: ArrowPresentation, family: MinorFamily):
 #: (family, state key, target key) -> whether the state contains the target.
 #: contains_minor stores its answers here, and every search that runs out
 #: stores False for each state it reached, since what a state reaches
-#: depends only on the state and the target.
+#: depends only on the state and the target.  The reach pass stores its
+#: answers under (family, state key, frozenset of target keys).
 _contains_cache: dict[tuple, bool] = {}
 
 
@@ -348,9 +359,98 @@ def target_catalog() -> dict[str, ArrowPresentation]:
 # ---------------------------------------------------------------------------
 
 
+def _reaches_any(g: ArrowPresentation, family: MinorFamily, targets) -> bool:
+    """Whether some sequence of moves of a ribbon family (not the join
+    family) turns g into a presentation equivalent to one of ``targets``,
+    none of which may have an isolated circle.
+
+    One depth-first pass over canonical states, with an explicit stack.  A
+    state in the list reaches.  Otherwise its successors
+    ``canonical_presentation(mv.apply(s))`` are built one at a time, in
+    :func:`applicable_moves` order, and the state reaches as soon as one of
+    them does; so when a successor reaches, every state on the stack does.
+    A state with fewer edges than every target, or in the Eulerian family
+    with lower Euler genus than every target, does not reach, and a move
+    that keeps the edge count and adds an isolated circle is skipped.
+    Every answer goes into ``_contains_cache`` under ``(family, state key,
+    frozenset of the target keys)``, the same answer for every start.
+
+    Sound and complete.  Every followed move is a family move, so True is a
+    real containment.  If s contains a target t, :func:`_search` proves a
+    move sequence from s to t that passes no state below t and no move that
+    keeps the edge count and moves the isolated-circle count away from t's,
+    which is 0.  A state below every target is below t, so every state and
+    move of that sequence is followed here.
+
+    Termination.  Every followed move lowers (E, I, -V) in the Eulerian and
+    cc families and (E, I, -F) in the even-face and bipartite families,
+    lexicographically, where E, I, V and F count edges, isolated circles,
+    circles and boundary components:
+
+    * deletions and contractions lower E; deleting a component lowers E, or
+      keeps E and lowers I when the component is an isolated circle;
+    * a vertex split at gaps p != q cuts a circle into two arcs of at least
+      one arrow each, so it keeps E and I and raises V; a face split at
+      walk positions p != q keeps E and I (it merges two circles that carry
+      arrows, cuts one at two distinct gaps, or reverses an arc) and raises
+      F, since it contracts an edge placed across the face so as to split
+      it in two, and contraction keeps F;
+    * a split with p == q adds an isolated circle and is skipped.
+
+    A state has at most 2E + I circles and 2E + I boundary components, so
+    both orders admit no infinite descending chain, and the pass ends.  A
+    state met again on the stack would break this argument: it raises
+    RuntimeError instead of being answered.
+    """
+    if any(_isolated_count(t) for t in targets):
+        raise RuntimeError("the reach pass needs targets without isolated circles")
+    keys = frozenset(canonicalize(t) for t in targets)
+    emin = min(t.n_edges for t in targets)
+    gmin = min(map(euler_genus, targets)) if family is MinorFamily.EULERIAN else None
+
+    def known(s: ArrowPresentation, key: str) -> bool | None:
+        if key in keys:
+            return True
+        if s.n_edges < emin or (gmin is not None and euler_genus(s) < gmin):
+            return False
+        return _contains_cache.get((family, key, keys))
+
+    start = canonical_presentation(g)
+    start_key = canonicalize(start)
+    got = known(start, start_key)
+    if got is not None:
+        return got
+    stack = [(start, start_key, iter(applicable_moves(start, family)))]
+    on_stack = {start_key}
+    while stack:
+        state, key, moves = stack[-1]
+        iso = _isolated_count(state)
+        for mv in moves:
+            nxt = canonical_presentation(mv.apply(state))
+            if nxt.n_edges == state.n_edges and _isolated_count(nxt) > iso:
+                continue
+            nkey = canonicalize(nxt)
+            if nkey in on_stack:
+                raise RuntimeError(f"the reach pass met {nkey} again by {mv} from {key}")
+            got = known(nxt, nkey)
+            if got is None:
+                stack.append((nxt, nkey, iter(applicable_moves(nxt, family))))
+                on_stack.add(nkey)
+                break
+            if got:
+                for _, k, _ in stack:
+                    _contains_cache[(family, k, keys)] = True
+                return True
+        else:
+            stack.pop()
+            on_stack.remove(key)
+            _contains_cache[(family, key, keys)] = False
+    return False
+
+
 def _excludes(g: ArrowPresentation, family: MinorFamily, names: tuple[str, ...]) -> bool:
     cat = target_catalog()
-    return not any(contains_minor(g, cat[n], family) for n in names)
+    return not _reaches_any(g, family, [cat[n] for n in names])
 
 
 def cc_by_excluded_minors(g: ArrowPresentation) -> bool:
@@ -379,8 +479,11 @@ def bipartite_by_even_face_minors(g: ArrowPresentation) -> bool:
 
 
 def bipartite_by_join_minors(g: ArrowPresentation) -> bool:
-    """Bipartiteness via excluded join minors (abstract-graph equivalence)."""
-    return _excludes(g, MinorFamily.BIPARTITE_JOIN, ("orientable_loop", "nonorientable_loop"))
+    """Bipartiteness via excluded join minors (abstract-graph equivalence),
+    one search per target."""
+    cat = target_catalog()
+    return not any(contains_minor(g, cat[n], MinorFamily.BIPARTITE_JOIN)
+                   for n in ("orientable_loop", "nonorientable_loop"))
 
 
 def _excludes_listed(g: ArrowPresentation, family: str, lists: dict) -> bool:

@@ -12,7 +12,9 @@ the literal vertex and face splits, the counted face-split gate and the
 trivial-loop test; the arcs of a boundary walk or a circle, counted item by item, as the
 reference for every distance and parity gate; the minor search with its
 first, start-dependent caps; and move generation by the public gates, and
-contraction through the partial dual, as first written.
+contraction through the partial dual, as first written; and the witnesses
+the reach pass leaves in ``_contains_cache``, replayed move by move through
+those routes.
 """
 
 from __future__ import annotations
@@ -52,7 +54,14 @@ from ribbonminor import (
 )
 from ribbonminor.arrow_core import MAX_KEY_VERTICES, Circle, Segment, Sign
 from ribbonminor.minor_ops import _check_label
-from ribbonminor.minor_search import MinorFamily, _isolated_count, _state_key, _successors
+from ribbonminor.minor_search import (
+    MinorFamily,
+    _contains_cache,
+    _isolated_count,
+    _state_key,
+    _successors,
+    applicable_moves,
+)
 
 
 def _endpoints_in_circle_order(circle):
@@ -925,3 +934,72 @@ def assert_moves_match_partial_dual_route(g):
     for e in g.labels:
         assert contract_edge(g, e).to_text() == contract_via_partial_dual(g, e).to_text(), (g, e)
     assert_face_splits_match_insertion(g)
+
+
+# Certificates from the reach pass: _contains_cache records True for every
+# state on the pass's stack when a successor reaches, so each recorded state
+# has a kept successor that is recorded True or is a target.  Following the
+# first such successor gives a witness, which is replayed through the routes
+# above, each move checked against the gate-by-gate move list.
+
+
+def reach_witness(g: ArrowPresentation, family: MinorFamily, targets) -> list[MinorMove]:
+    """The move sequence _contains_cache certifies from g's canonical form to
+    one of ``targets``, after the reach pass answered True for g: from each
+    state, the first kept move whose successor is recorded True or is a
+    target.  A kept move is one that does not keep the edge count while
+    adding an isolated circle."""
+    family = MinorFamily(family)
+    keys = frozenset(canonicalize(t) for t in targets)
+    state, moves = canonical_presentation(g), []
+    while canonicalize(state) not in keys:
+        assert _contains_cache.get((family, canonicalize(state), keys)) is True, (g, moves)
+        assert len(moves) < 100, (g, moves)
+        for mv in applicable_moves(state, family):
+            nxt = canonical_presentation(mv.apply(state))
+            if nxt.n_edges == state.n_edges and _isolated_count(nxt) > _isolated_count(state):
+                continue
+            key = canonicalize(nxt)
+            if key in keys or _contains_cache.get((family, key, keys)) is True:
+                moves.append(mv)
+                state = nxt
+                break
+        else:
+            raise AssertionError(f"no recorded successor of {state} for {g}")
+    return moves
+
+
+def delete_component_via_networkx(g: ArrowPresentation, k: int) -> ArrowPresentation:
+    """Delete the k-th connected component, components ordered by their
+    smallest circle, found by networkx."""
+    graph = nx.Graph()
+    graph.add_nodes_from(range(g.n_vertices))
+    graph.add_edges_from(_label_circles(g).values())
+    drop = sorted(nx.connected_components(graph), key=min)[k]
+    return ArrowPresentation(tuple(c for ci, c in enumerate(g.circles) if ci not in drop))
+
+
+def _move_by_oracle_route(g: ArrowPresentation, mv: MinorMove) -> ArrowPresentation:
+    if mv.kind == "contract":
+        return contract_via_partial_dual(g, *mv.params)
+    if mv.kind == "delete":
+        (e,) = mv.params
+        return ArrowPresentation(tuple(tuple(a for a in c if a[0] != e) for c in g.circles))
+    if mv.kind == "delete-component":
+        return delete_component_via_networkx(g, *mv.params)
+    if mv.kind == "split-vertex":
+        return split_vertex_via_insertion(g, *mv.params)
+    if mv.kind == "split-face":
+        return split_face_via_insertion(g, *mv.params)
+    raise AssertionError(f"no oracle route for {mv}")
+
+
+def replay_by_oracle_routes(g: ArrowPresentation, moves, family: MinorFamily) -> ArrowPresentation:
+    """Replay a witness from g's canonical form, each move checked against
+    :func:`applicable_moves_by_gates` and applied by its oracle route, and
+    each result canonicalised as :func:`replay_witness` does."""
+    state = canonical_presentation(g)
+    for mv in moves:
+        assert mv in applicable_moves_by_gates(state, family), (state, mv)
+        state = canonical_presentation(_move_by_oracle_route(state, mv))
+    return state

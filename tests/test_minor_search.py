@@ -22,11 +22,17 @@ from ribbonminor import (
     plane_cc_by_excluded_minors,
     replay_witness,
     target_catalog,
+    trace_boundaries,
     underlying_graph,
 )
 from ribbonminor import ArrowPresentation, duality, minor_search
 from ribbonminor.verify import EnumerationSpec, enumerate_presentations
-from oracles import applicable_moves_by_gates, capped_minor_search
+from oracles import (
+    applicable_moves_by_gates,
+    capped_minor_search,
+    reach_witness,
+    replay_by_oracle_routes,
+)
 
 P = parse_arp
 
@@ -353,3 +359,150 @@ def test_family_parse_aliases():
     assert MinorFamily.parse("bipartite-join") is MinorFamily.BIPARTITE_JOIN
     with pytest.raises(ArpError):
         MinorFamily.parse("nonsense")
+
+
+_FAMILY_NAMES = {
+    MinorFamily.EULERIAN: ("eulerian", "Eulerian"),
+    MinorFamily.EVEN_FACE: ("even-face", "evenface", "EvenFace"),
+    MinorFamily.CHECKERBOARD: ("cc", "checkerboard", "CC"),
+    MinorFamily.BIPARTITE: ("bipartite", "BIPARTITE"),
+    MinorFamily.BIPARTITE_JOIN: ("join", "bipartite-join", "Bipartite-Join"),
+}
+
+
+def test_every_family_name_is_accepted_everywhere():
+    g, h = P("(a+ b+ a- b+)(c+ c+)"), P("(e+ e-)")
+    for fam, names in _FAMILY_NAMES.items():
+        for name in names:
+            assert MinorFamily(name) is MinorFamily.parse(name) is fam, name
+            assert applicable_moves(g, name) == applicable_moves(g, fam), name
+            assert contains_minor(g, h, name) == contains_minor(g, h, fam), name
+            assert minor_witness(g, h, name) == minor_witness(g, h, fam), name
+
+
+@pytest.mark.parametrize("call", [
+    lambda name: MinorFamily(name),
+    lambda name: applicable_moves(P("(e+ e+)"), name),
+    lambda name: contains_minor(P("(e+ e+)"), P("(e+ e+)"), name),
+    lambda name: minor_witness(P("(e+ e+)"), P("(e+ e+)"), name),
+])
+def test_unknown_family_is_an_arp_error(call):
+    for name in ("nonsense", "even_face", "", 3):
+        with pytest.raises(ArpError, match="^unknown minor family "):
+            call(name)
+
+
+# -- reach pass -------------------------------------------------------------------
+
+
+def _lists_passed(run):
+    """The (family, targets) pairs the reach pass is given while run() runs."""
+    seen = []
+    orig = minor_search._reaches_any
+
+    def recording(g, family, targets):
+        seen.append((family, tuple(targets)))
+        return orig(g, family, targets)
+
+    minor_search._reaches_any = recording
+    try:
+        run()
+    finally:
+        minor_search._reaches_any = orig
+    return seen
+
+
+@pytest.fixture(scope="module")
+def reach_lists():
+    """Every (family, target list) pair the excluded-minor checks of verify
+    pass to the reach pass, recorded by running them at two edges."""
+    from ribbonminor.verify import CHECKS, verify_theorem
+
+    seen = _lists_passed(lambda: [verify_theorem(c, EnumerationSpec(2)) for c in CHECKS])
+    return sorted(set(seen), key=lambda pair: (pair[0].value, [t.to_text() for t in pair[1]]))
+
+
+def test_reach_lists_cover_every_ribbon_check(reach_lists):
+    # T1-T4 and C1-C4 one list each; T6 and T7 one list in two families each
+    assert len(reach_lists) == 12
+    assert {fam for fam, _ in reach_lists} == set(MinorFamily) - {MinorFamily.BIPARTITE_JOIN}
+
+
+@pytest.mark.parametrize("connected_only", [True, False])
+def test_reach_pass_matches_search(reach_lists, connected_only):
+    starts = enumerate_presentations(EnumerationSpec(3, 4, connected_only))
+    assert len(starts) == (77 if connected_only else 349)
+    starts = (*starts, *target_catalog().values())
+    for fam, targets in reach_lists:
+        for g in starts:
+            want = any(contains_minor(g, t, fam) for t in targets)
+            assert minor_search._reaches_any(g, fam, targets) == want, (g, fam, targets)
+
+
+@pytest.mark.parametrize("check_id", ["T1", "T2", "T3", "T4"])
+def test_reach_pass_witnesses_replay_through_oracle_routes(sweep3, check_id):
+    from ribbonminor.verify import CHECKS
+
+    [(fam, targets)] = _lists_passed(lambda: CHECKS[check_id][2](P("(e+ e+)")))
+    non_members = [g for g in sweep3 if minor_search._reaches_any(g, fam, targets)]
+    assert len(non_members) > 40
+    for g in non_members:
+        moves = reach_witness(g, fam, targets)
+        end = replay_by_oracle_routes(g, moves, fam)
+        assert any(is_equivalent(end, t) for t in targets), (g, moves)
+
+
+def test_kept_moves_lower_the_termination_measure(sweep3):
+    # the order the _reaches_any docstring proves: (E, I, -V) for the
+    # vertex-splitting families, (E, I, -F) for the face-splitting ones
+    from ribbonminor.minor_search import _isolated_count
+
+    def measure(s, fam):
+        splits_vertices = fam in (MinorFamily.EULERIAN, MinorFamily.CHECKERBOARD)
+        return s.n_edges, _isolated_count(s), -(s.n_vertices if splits_vertices else len(trace_boundaries(s)))
+
+    for g in sweep3:
+        for h in _with_isolated_circles(g):
+            for fam in set(MinorFamily) - {MinorFamily.BIPARTITE_JOIN}:
+                for mv in applicable_moves(h, fam):
+                    nxt = mv.apply(h)
+                    if nxt.n_edges == h.n_edges and _isolated_count(nxt) > _isolated_count(h):
+                        continue
+                    assert measure(nxt, fam) < measure(h, fam), (h, fam, mv)
+
+
+class _MoveTo:
+    """A fake move to a fixed presentation."""
+
+    def __init__(self, to):
+        self.to = to
+
+    def apply(self, g):
+        return self.to
+
+    def __str__(self):
+        return f"move-to {self.to}"
+
+
+@pytest.mark.parametrize("cycle", [
+    ["(a+ b+ c+ a+ b+ c+)"],
+    ["(a+ b+ c+ a+ b+ c+)", "(a+ b+ c+)(a+ b+ c+)"],
+])
+def test_reach_pass_raises_on_a_cycle(monkeypatch, cycle):
+    # a list no check uses, so no answer for these states is recorded
+    fam, targets = MinorFamily.CHECKERBOARD, [P("(a+ b+ c+ a- b- c-)")]
+    states = [minor_search.canonical_presentation(P(text)) for text in cycle]
+    nxt = {s: states[(i + 1) % len(states)] for i, s in enumerate(states)}
+    monkeypatch.setattr(minor_search, "applicable_moves", lambda g, family: (_MoveTo(nxt[g]),))
+    with pytest.raises(RuntimeError, match="met .* again"):
+        minor_search._reaches_any(states[0], fam, targets)
+    keys = frozenset(minor_search.canonicalize(t) for t in targets)
+    assert not any(key[2] == keys for key in minor_search._contains_cache)
+
+
+def test_reach_pass_on_a_long_path_needs_no_recursion():
+    # 400 circles in a path, 399 edges: the pass contracts its way down to
+    # the single edge on a stack 398 states deep
+    n = 400
+    path = P("(e0+)" + "".join(f"(e{i}+ e{i + 1}+)" for i in range(n - 2)) + f"(e{n - 2}+)")
+    assert not cc_by_excluded_eulerian_minors(path)

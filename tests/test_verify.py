@@ -220,3 +220,26 @@ def test_report_determinism():
     assert lines[-1].startswith("# T2: checked=3 failures=0")
     for line in lines[:-1]:
         assert line.split("\t")[0] == "T2"
+
+
+def _four_edge_pins():
+    path = os.path.join(os.path.dirname(__file__), "verify_e4.sha256")
+    with open(path, encoding="ascii") as fh:
+        pairs = [line.split() for line in fh]
+    return {name.removeprefix("verify-").removesuffix(".out"): digest for digest, name in pairs}
+
+
+def test_four_edge_pins_name_every_check():
+    from ribbonminor import CHECKS, LEMMAS
+
+    pins = _four_edge_pins()
+    assert list(pins) == [*CHECKS, *LEMMAS]
+    assert all(len(d) == 64 and int(d, 16) >= 0 for d in pins.values())
+
+
+@pytest.mark.parametrize("check_id", ["T1", "T2", "T3", "T4", "C1", "C2", "C3", "C4"])
+def test_reach_pass_reports_match_four_edge_pins(check_id):
+    # the reports of the checks the reach pass decides, in process; CI
+    # compares all eighteen, each from a cold CLI run
+    text = verify_theorem(check_id, EnumerationSpec(4)).to_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == _four_edge_pins()[check_id]
