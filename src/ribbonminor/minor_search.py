@@ -6,23 +6,19 @@ component deletions and even vertex splits; ``cc`` (checkerboard colourable)
 the same with all contractions allowed; ``even-face`` proper edge deletions,
 component deletions and even face splits; ``bipartite`` the same with all
 deletions allowed; ``join`` permissible vertex joins, vertex deletions and
-edge deletions.  Containment is decided by breadth-first search over
-canonical forms; for the join family two presentations count as equal when
-their underlying abstract graphs are isomorphic, since joins only ever feed
-abstract-graph predicates.
+edge deletions.  Search states are canonical forms; for the join family
+two presentations count as the same state when their underlying abstract
+graphs are isomorphic, since joins only ever feed abstract-graph
+predicates.
 
-One search serves :func:`contains_minor` and :func:`minor_witness`.  Its
-pruning depends only on the state and the target, never on where the
-search started (the rule and its proof are in :func:`_search`), so a
-search that runs out records every state it reached as not containing the
-target, and later searches skip those states.
-
-The excluded-minor predicates of the four ribbon families ask instead
-whether a state reaches *some* target of a list.  :func:`_reaches_any`
-answers that in one depth-first pass per list, stopping at the first
-successor that reaches, and records True and False for every state it
-settles; :func:`_search` is its reference.  The join family's predicate
-keeps the search.
+One procedure decides containment.  :func:`_reaches_any` asks whether a
+state reaches *some* target of a list, in one depth-first pass per list
+that stops at the first successor that reaches and records True and False
+for every state it settles.  :func:`contains_minor` is the pass on a
+one-target list, and every excluded-minor predicate, the join family's
+included, is the pass on its catalog list.  :func:`minor_witness` only
+builds shortest witnesses, by breadth-first search; the pruning rule both
+share is proved there, and the pass's termination in :func:`_reaches_any`.
 """
 
 from __future__ import annotations
@@ -30,6 +26,7 @@ from __future__ import annotations
 from collections import deque
 from enum import Enum
 from functools import lru_cache
+from types import MappingProxyType
 
 from .arrow_core import (
     MAX_KEY_VERTICES,
@@ -186,38 +183,59 @@ def _isolated_count(g: ArrowPresentation) -> int:
 
 
 def _state_key(g: ArrowPresentation, family: MinorFamily):
-    if family is MinorFamily.BIPARTITE_JOIN:
-        return underlying_graph(g).canonical_key()
-    return canonicalize(g)
+    """What a search state is known by: its canonical form, or in the join
+    family the isomorphism key of its underlying graph.  Join-family moves
+    never add a vertex, so a search's start bounds every state it keys."""
+    if family is not MinorFamily.BIPARTITE_JOIN:
+        return canonicalize(g)
+    if g.n_vertices > MAX_KEY_VERTICES:
+        raise ArpError(f"the join family compares underlying graphs, which is supported "
+                       f"for at most {MAX_KEY_VERTICES} vertices; got {g.n_vertices} vertices")
+    return underlying_graph(g).canonical_key()
 
 
-#: (family, state key, target key) -> whether the state contains the target.
-#: contains_minor stores its answers here, and every search that runs out
-#: stores False for each state it reached, since what a state reaches
-#: depends only on the state and the target.  The reach pass stores its
-#: answers under (family, state key, frozenset of target keys).
+def _pruning(targets, family: MinorFamily):
+    """The isolated-circle count every target has, and the test for a state
+    below every target: fewer edges, or in the Eulerian family lower Euler
+    genus.  Targets with different isolated-circle counts raise
+    RuntimeError, since the pruning rule of :func:`minor_witness` is proved
+    for one count."""
+    counts = {_isolated_count(t) for t in targets}
+    if len(counts) != 1:
+        raise RuntimeError("the search needs targets that share one isolated-circle count")
+    emin = min(t.n_edges for t in targets)
+    gmin = min(map(euler_genus, targets)) if family is MinorFamily.EULERIAN else None
+
+    def below(s: ArrowPresentation) -> bool:
+        return s.n_edges < emin or (gmin is not None and euler_genus(s) < gmin)
+
+    return counts.pop(), below
+
+
+#: (family, state key, frozenset of target keys) -> whether the state
+#: reaches one of the targets; written only by :func:`_reaches_any`.
 _contains_cache: dict[tuple, bool] = {}
 
 
-def _memo_key(g: ArrowPresentation, h: ArrowPresentation, family: MinorFamily) -> tuple:
-    family = MinorFamily(family)
-    # join-family moves never add a vertex, so the inputs bound every state
-    n = max(g.n_vertices, h.n_vertices)
-    if family is MinorFamily.BIPARTITE_JOIN and n > MAX_KEY_VERTICES:
-        raise ArpError(f"the join family compares underlying graphs, which is supported "
-                       f"for at most {MAX_KEY_VERTICES} vertices; got {n} vertices")
-    return family, _state_key(g, family), _state_key(h, family)
+def contains_minor(g: ArrowPresentation, h: ArrowPresentation, family: MinorFamily) -> bool:
+    """Whether some sequence of family moves turns g into a presentation
+    equivalent to h (underlying-graph isomorphism for the join family):
+    the reach pass on the one-target list."""
+    return _reaches_any(g, MinorFamily(family), [h])
 
 
-def _search(g: ArrowPresentation, h: ArrowPresentation, family: MinorFamily):
-    """A shortest move sequence from g's canonical form to h, or None.
+def minor_witness(g: ArrowPresentation, h: ArrowPresentation, family: MinorFamily):
+    """A shortest move sequence witnessing containment, or None.
 
-    Breadth-first over canonical forms.  No state below h is expanded, the
-    start included: one with fewer edges than h, or with lower Euler genus
-    than h in the Eulerian family (no move adds an edge, and Eulerian moves
-    never raise the genus).  A successor is also skipped when its move
-    keeps the edge count and takes the number of isolated circles further
-    from h's, or when ``_contains_cache`` records it False.
+    Each move applies to the canonical form of the previous state, starting
+    from the canonical form of g; :func:`replay_witness` follows the same
+    convention.
+
+    Breadth-first over state keys.  No state below h is expanded, the start
+    included: one with fewer edges than h, or with lower Euler genus than h
+    in the Eulerian family (no move adds an edge, and Eulerian moves never
+    raise the genus).  A successor is also skipped when its move keeps the
+    edge count and takes the number of isolated circles further from h's.
 
     The isolated-circle rule is sound and keeps the search finite:
 
@@ -234,20 +252,15 @@ def _search(g: ArrowPresentation, h: ArrowPresentation, family: MinorFamily):
       isolated deletion at or below h's count can be moved to the end
       without changing the length.
 
-    So every pruned move can be bypassed, what a state reaches depends only
-    on the state and h, and a search that runs out shows that no state it
-    reached contains h.
+    So every pruned move can be bypassed, and the pruning depends only on
+    the state and h, never on where the search started.
     """
-    family, start_key, target = _memo_key(g, h, family)
+    family = MinorFamily(family)
+    start = canonical_presentation(g)
+    start_key, target = _state_key(start, family), _state_key(h, family)
     if start_key == target:
         return []
-    iso_h = _isolated_count(h)
-    gmin = euler_genus(h) if family is MinorFamily.EULERIAN else None
-
-    def below_h(s: ArrowPresentation) -> bool:
-        return s.n_edges < h.n_edges or (gmin is not None and euler_genus(s) < gmin)
-
-    start = canonical_presentation(g)
+    iso_h, below_h = _pruning([h], family)
     seen = {start_key}
     parents: dict = {}
     queue = deque([] if below_h(start) else [start])
@@ -261,7 +274,7 @@ def _search(g: ArrowPresentation, h: ArrowPresentation, family: MinorFamily):
             if nxt.n_edges == state.n_edges and abs(_isolated_count(nxt) - iso_h) > iso_gap:
                 continue
             nkey = _state_key(nxt, family)
-            if nkey in seen or _contains_cache.get((family, nkey, target)) is False:
+            if nkey in seen:
                 continue
             seen.add(nkey)
             parents[nkey] = (skey, mv)
@@ -272,30 +285,7 @@ def _search(g: ArrowPresentation, h: ArrowPresentation, family: MinorFamily):
                     moves.append(mv)
                 return moves[::-1]
             queue.append(nxt)
-    for key in seen:
-        _contains_cache[(family, key, target)] = False
     return None
-
-
-def contains_minor(g: ArrowPresentation, h: ArrowPresentation, family: MinorFamily) -> bool:
-    """Whether some sequence of family moves turns g into a presentation
-    equivalent to h (underlying-graph isomorphism for the join family)."""
-    key = _memo_key(g, h, family)
-    got = _contains_cache.get(key)
-    if got is None:
-        got = _search(g, h, key[0]) is not None
-        _contains_cache[key] = got
-    return got
-
-
-def minor_witness(g, h, family: MinorFamily):
-    """A shortest move sequence witnessing containment, or None.
-
-    Each move applies to the canonical form of the previous state, starting
-    from the canonical form of g; :func:`replay_witness` follows the same
-    convention.
-    """
-    return _search(g, h, family)
 
 
 def replay_witness(g: ArrowPresentation, moves) -> ArrowPresentation:
@@ -330,8 +320,9 @@ def _validate_catalog(cat: dict[str, ArrowPresentation]) -> None:
 
 
 @lru_cache(maxsize=1)
-def target_catalog() -> dict[str, ArrowPresentation]:
-    """The named excluded-minor targets, validated on first use.
+def target_catalog() -> MappingProxyType[str, ArrowPresentation]:
+    """The named excluded-minor targets, validated on first use, as a
+    read-only mapping: every caller shares the one cached catalog.
 
     ``orientable_loop`` and ``nonorientable_loop`` are the one-edge bouquets,
     ``single_edge`` the one edge joining two vertices,
@@ -351,7 +342,7 @@ def target_catalog() -> dict[str, ArrowPresentation]:
     cat["triple_interleaved_loops_dual"] = geometric_dual(cat["triple_interleaved_loops"])
     cat["twisted_interleaved_loops_dual"] = geometric_dual(cat["twisted_interleaved_loops"])
     _validate_catalog(cat)
-    return cat
+    return MappingProxyType(cat)
 
 
 # ---------------------------------------------------------------------------
@@ -360,63 +351,65 @@ def target_catalog() -> dict[str, ArrowPresentation]:
 
 
 def _reaches_any(g: ArrowPresentation, family: MinorFamily, targets) -> bool:
-    """Whether some sequence of moves of a ribbon family (not the join
-    family) turns g into a presentation equivalent to one of ``targets``,
-    none of which may have an isolated circle.
+    """Whether some sequence of family moves turns g into a presentation
+    equivalent to one of ``targets`` (underlying-graph isomorphism for the
+    join family); the targets must share one isolated-circle count I_t.
 
-    One depth-first pass over canonical states, with an explicit stack.  A
-    state in the list reaches.  Otherwise its successors
+    One depth-first pass over state keys (:func:`_state_key`), with an
+    explicit stack.  A state in the list reaches.  Otherwise its successors
     ``canonical_presentation(mv.apply(s))`` are built one at a time, in
     :func:`applicable_moves` order, and the state reaches as soon as one of
     them does; so when a successor reaches, every state on the stack does.
-    A state with fewer edges than every target, or in the Eulerian family
-    with lower Euler genus than every target, does not reach, and a move
-    that keeps the edge count and adds an isolated circle is skipped.
-    Every answer goes into ``_contains_cache`` under ``(family, state key,
-    frozenset of the target keys)``, the same answer for every start.
+    A state below every target (:func:`_pruning`) does not reach, and a
+    move that keeps the edge count and takes the isolated-circle count
+    further from I_t is skipped.  Every answer goes into ``_contains_cache``
+    under ``(family, state key, frozenset of the target keys)``, the same
+    answer for every start.
 
     Sound and complete.  Every followed move is a family move, so True is a
-    real containment.  If s contains a target t, :func:`_search` proves a
-    move sequence from s to t that passes no state below t and no move that
-    keeps the edge count and moves the isolated-circle count away from t's,
-    which is 0.  A state below every target is below t, so every state and
-    move of that sequence is followed here.
+    real containment.  If s contains a target t, :func:`minor_witness`
+    proves a move sequence from s to t that passes no state below t and no
+    move that keeps the edge count and moves the isolated-circle count away
+    from t's, which is I_t.  A state below every target is below t, so
+    every state and move of that sequence is followed here.
 
-    Termination.  Every followed move lowers (E, I, -V) in the Eulerian and
-    cc families and (E, I, -F) in the even-face and bipartite families,
-    lexicographically, where E, I, V and F count edges, isolated circles,
-    circles and boundary components:
+    Termination.  Write E, I, V and F for the counts of edges, isolated
+    circles, circles and boundary components, and D = |I - I_t|.  Every
+    followed move lowers, lexicographically, (E, D, -V) in the Eulerian and
+    cc families, (E, D, -F) in the even-face and bipartite families and
+    (E, D, V) in the join family:
 
-    * deletions and contractions lower E; deleting a component lowers E, or
-      keeps E and lowers I when the component is an isolated circle;
+    * deletions and contractions lower E, and so does deleting a component
+      or a vertex that meets an edge; deleting an isolated circle keeps E
+      and lowers I, so it is followed only when it lowers D;
+    * a split with p == q keeps E and adds an isolated circle, so it is
+      followed only when it lowers D;
     * a vertex split at gaps p != q cuts a circle into two arcs of at least
       one arrow each, so it keeps E and I and raises V; a face split at
       walk positions p != q keeps E and I (it merges two circles that carry
       arrows, cuts one at two distinct gaps, or reverses an arc) and raises
       F, since it contracts an edge placed across the face so as to split
       it in two, and contraction keeps F;
-    * a split with p == q adds an isolated circle and is skipped.
+    * a join merges two circles that share a neighbour, so both carry
+      arrows: it keeps E and I and lowers V.
 
     A state has at most 2E + I circles and 2E + I boundary components, so
-    both orders admit no infinite descending chain, and the pass ends.  A
+    every order admits no infinite descending chain, and the pass ends.  A
     state met again on the stack would break this argument: it raises
     RuntimeError instead of being answered.
     """
-    if any(_isolated_count(t) for t in targets):
-        raise RuntimeError("the reach pass needs targets without isolated circles")
-    keys = frozenset(canonicalize(t) for t in targets)
-    emin = min(t.n_edges for t in targets)
-    gmin = min(map(euler_genus, targets)) if family is MinorFamily.EULERIAN else None
+    iso_t, below = _pruning(targets, family)
+    keys = frozenset(_state_key(t, family) for t in targets)
 
-    def known(s: ArrowPresentation, key: str) -> bool | None:
+    def known(s: ArrowPresentation, key) -> bool | None:
         if key in keys:
             return True
-        if s.n_edges < emin or (gmin is not None and euler_genus(s) < gmin):
+        if below(s):
             return False
         return _contains_cache.get((family, key, keys))
 
     start = canonical_presentation(g)
-    start_key = canonicalize(start)
+    start_key = _state_key(start, family)
     got = known(start, start_key)
     if got is not None:
         return got
@@ -424,12 +417,12 @@ def _reaches_any(g: ArrowPresentation, family: MinorFamily, targets) -> bool:
     on_stack = {start_key}
     while stack:
         state, key, moves = stack[-1]
-        iso = _isolated_count(state)
+        iso_gap = abs(_isolated_count(state) - iso_t)
         for mv in moves:
             nxt = canonical_presentation(mv.apply(state))
-            if nxt.n_edges == state.n_edges and _isolated_count(nxt) > iso:
+            if nxt.n_edges == state.n_edges and abs(_isolated_count(nxt) - iso_t) > iso_gap:
                 continue
-            nkey = canonicalize(nxt)
+            nkey = _state_key(nxt, family)
             if nkey in on_stack:
                 raise RuntimeError(f"the reach pass met {nkey} again by {mv} from {key}")
             got = known(nxt, nkey)
@@ -479,11 +472,8 @@ def bipartite_by_even_face_minors(g: ArrowPresentation) -> bool:
 
 
 def bipartite_by_join_minors(g: ArrowPresentation) -> bool:
-    """Bipartiteness via excluded join minors (abstract-graph equivalence),
-    one search per target."""
-    cat = target_catalog()
-    return not any(contains_minor(g, cat[n], MinorFamily.BIPARTITE_JOIN)
-                   for n in ("orientable_loop", "nonorientable_loop"))
+    """Bipartiteness via excluded join minors (abstract-graph equivalence)."""
+    return _excludes(g, MinorFamily.BIPARTITE_JOIN, ("orientable_loop", "nonorientable_loop"))
 
 
 def _excludes_listed(g: ArrowPresentation, family: str, lists: dict) -> bool:

@@ -70,6 +70,10 @@ class EnumerationSpec:
     connected_only: bool = True
 
     def __post_init__(self):
+        for name in ("max_edges", "max_circles"):
+            value = getattr(self, name)
+            if type(value) is not int and not (name == "max_circles" and value is None):
+                raise ArpError(f"{name} must be an integer, got {value!r}")
         if not 0 <= self.max_edges <= _MAX_SUPPORTED_EDGES:
             raise ArpError(f"max_edges must be between 0 and {_MAX_SUPPORTED_EDGES}")
         if self.max_circles is None:

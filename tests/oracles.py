@@ -14,7 +14,7 @@ reference for every distance and parity gate; the minor search with its
 first, start-dependent caps; and move generation by the public gates, and
 contraction through the partial dual, as first written; and the witnesses
 the reach pass leaves in ``_contains_cache``, replayed move by move through
-those routes.
+those routes, the join family's literal vertex deletion and join included.
 """
 
 from __future__ import annotations
@@ -54,9 +54,9 @@ from ribbonminor import (
 )
 from ribbonminor.arrow_core import MAX_KEY_VERTICES, Circle, Segment, Sign
 from ribbonminor.minor_ops import _check_label
+from ribbonminor import minor_search
 from ribbonminor.minor_search import (
     MinorFamily,
-    _contains_cache,
     _isolated_count,
     _state_key,
     _successors,
@@ -148,6 +148,19 @@ def nx_is_bipartite(g) -> bool:
             return False
         graph.add_edge(u, v)
     return nx.is_bipartite(graph)
+
+
+def nx_same_underlying_graph(g, h) -> bool:
+    """Whether the underlying multigraphs of g and h, loops and isolated
+    vertices included, are isomorphic by networkx."""
+
+    def multigraph(x):
+        graph = nx.MultiGraph()
+        graph.add_nodes_from(range(x.n_vertices))
+        graph.add_edges_from(_label_circles(x).values())
+        return graph
+
+    return nx.is_isomorphic(multigraph(g), multigraph(h))
 
 
 def nx_is_checkerboard_colourable(g) -> bool:
@@ -947,20 +960,24 @@ def reach_witness(g: ArrowPresentation, family: MinorFamily, targets) -> list[Mi
     """The move sequence _contains_cache certifies from g's canonical form to
     one of ``targets``, after the reach pass answered True for g: from each
     state, the first kept move whose successor is recorded True or is a
-    target.  A kept move is one that does not keep the edge count while
-    adding an isolated circle."""
+    target.  States are known by ``_state_key``, and a kept move is one that
+    does not keep the edge count while taking the isolated-circle count
+    further from the count the targets share."""
     family = MinorFamily(family)
-    keys = frozenset(canonicalize(t) for t in targets)
+    keys = frozenset(_state_key(t, family) for t in targets)
+    (iso_t,) = {_isolated_count(t) for t in targets}
+    recorded = minor_search._contains_cache
     state, moves = canonical_presentation(g), []
-    while canonicalize(state) not in keys:
-        assert _contains_cache.get((family, canonicalize(state), keys)) is True, (g, moves)
+    while _state_key(state, family) not in keys:
+        assert recorded.get((family, _state_key(state, family), keys)) is True, (g, moves)
         assert len(moves) < 100, (g, moves)
+        gap = abs(_isolated_count(state) - iso_t)
         for mv in applicable_moves(state, family):
             nxt = canonical_presentation(mv.apply(state))
-            if nxt.n_edges == state.n_edges and _isolated_count(nxt) > _isolated_count(state):
+            if nxt.n_edges == state.n_edges and abs(_isolated_count(nxt) - iso_t) > gap:
                 continue
-            key = canonicalize(nxt)
-            if key in keys or _contains_cache.get((family, key, keys)) is True:
+            key = _state_key(nxt, family)
+            if key in keys or recorded.get((family, key, keys)) is True:
                 moves.append(mv)
                 state = nxt
                 break
@@ -991,6 +1008,17 @@ def _move_by_oracle_route(g: ArrowPresentation, mv: MinorMove) -> ArrowPresentat
         return split_vertex_via_insertion(g, *mv.params)
     if mv.kind == "split-face":
         return split_face_via_insertion(g, *mv.params)
+    if mv.kind == "delete-vertex":
+        (c,) = mv.params
+        doomed = {lab for lab, ends in _label_circles(g).items() if c in ends}
+        return ArrowPresentation(tuple(tuple(a for a in circ if a[0] not in doomed)
+                                       for ci, circ in enumerate(g.circles) if ci != c))
+    if mv.kind == "join":
+        # the second circle's word, then the first's, as a last circle: a
+        # rotation of the library's splice, so an equivalent presentation
+        c1, c2 = mv.params
+        rest = tuple(circ for ci, circ in enumerate(g.circles) if ci not in (c1, c2))
+        return ArrowPresentation(rest + (g.circles[c2] + g.circles[c1],))
     raise AssertionError(f"no oracle route for {mv}")
 
 

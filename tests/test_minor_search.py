@@ -30,6 +30,7 @@ from ribbonminor.verify import EnumerationSpec, enumerate_presentations
 from oracles import (
     applicable_moves_by_gates,
     capped_minor_search,
+    nx_same_underlying_graph,
     reach_witness,
     replay_by_oracle_routes,
 )
@@ -189,12 +190,13 @@ def test_failed_search_is_remembered_per_state(monkeypatch):
     fam = MinorFamily.CHECKERBOARD
     assert not contains_minor(g, h, fam)
     reached = P("(a+ b+ a+ b+)")  # g with the component of c deleted
-    assert minor_search._contains_cache[minor_search._memo_key(reached, h, fam)] is False
+    key = (fam, minor_search.canonicalize(reached), frozenset([minor_search.canonicalize(h)]))
+    assert minor_search._contains_cache[key] is False
 
-    def no_search(*args):
-        raise AssertionError("a state the failed search reached was searched again")
+    def no_moves(*args):
+        raise AssertionError("a state the failed pass settled was expanded again")
 
-    monkeypatch.setattr(minor_search, "_search", no_search)
+    monkeypatch.setattr(minor_search, "applicable_moves", no_moves)
     assert not contains_minor(reached, h, fam)
 
 
@@ -345,6 +347,19 @@ def test_target_catalog_pinned_values():
     assert cat["triple_interleaved_loops_dual"].n_vertices == 2
 
 
+def test_catalog_is_read_only():
+    # every caller shares the cached catalog, so no caller may change it
+    loop = P("(e+ e+)")
+    assert cc_by_excluded_minors(loop)
+    with pytest.raises(TypeError):
+        target_catalog()["nonorientable_loop"] = loop
+    with pytest.raises(TypeError):
+        del target_catalog()["single_edge"]
+    assert target_catalog()["nonorientable_loop"].to_text() == "(e+ e-)"
+    assert cc_by_excluded_minors(loop)
+    assert not cc_by_excluded_minors(P("(e+ e-)"))
+
+
 def test_catalog_validation_rejects_wrong_catalog():
     from ribbonminor.minor_search import _validate_catalog
 
@@ -423,52 +438,76 @@ def reach_lists():
 
 
 def test_reach_lists_cover_every_ribbon_check(reach_lists):
-    # T1-T4 and C1-C4 one list each; T6 and T7 one list in two families each
-    assert len(reach_lists) == 12
-    assert {fam for fam, _ in reach_lists} == set(MinorFamily) - {MinorFamily.BIPARTITE_JOIN}
+    # T1-T5 and C1-C4 one list each; T6 and T7 one list in two families each
+    assert len(reach_lists) == 13
+    assert {fam for fam, _ in reach_lists} == set(MinorFamily)
+
+
+def _assert_reach_pass_matches_search(starts, lists):
+    """The reach pass answers what the breadth-first witness search does."""
+    for fam, targets in lists:
+        for g in starts:
+            want = any(minor_witness(g, t, fam) is not None for t in targets)
+            assert minor_search._reaches_any(g, fam, targets) == want, (g, fam, targets)
 
 
 @pytest.mark.parametrize("connected_only", [True, False])
 def test_reach_pass_matches_search(reach_lists, connected_only):
     starts = enumerate_presentations(EnumerationSpec(3, 4, connected_only))
     assert len(starts) == (77 if connected_only else 349)
-    starts = (*starts, *target_catalog().values())
-    for fam, targets in reach_lists:
-        for g in starts:
-            want = any(contains_minor(g, t, fam) for t in targets)
-            assert minor_search._reaches_any(g, fam, targets) == want, (g, fam, targets)
+    _assert_reach_pass_matches_search((*starts, *target_catalog().values()), reach_lists)
 
 
-@pytest.mark.parametrize("check_id", ["T1", "T2", "T3", "T4"])
+def test_reach_pass_matches_search_on_isolated_targets():
+    # single targets of 0-2 edges with one or two isolated circles, where
+    # the pass keeps the moves that bring the isolated-circle count towards
+    # the target's; a sweep over every such class of at most 2 edges agrees
+    # too, but takes about 25 s
+    targets = [P(t) for t in ("()()", "()(a+)(a+)", "()()(a+ a-)", "()(a+ b+ a- b-)", "()()(a+ a+ b+ b+)")]
+    starts = enumerate_presentations(EnumerationSpec(3, 4, False))
+    _assert_reach_pass_matches_search(starts, [(fam, [t]) for fam in MinorFamily for t in targets])
+
+
+@pytest.mark.parametrize("check_id", ["T1", "T2", "T3", "T4", "T5"])
 def test_reach_pass_witnesses_replay_through_oracle_routes(sweep3, check_id):
     from ribbonminor.verify import CHECKS
 
     [(fam, targets)] = _lists_passed(lambda: CHECKS[check_id][2](P("(e+ e+)")))
+    same = nx_same_underlying_graph if fam is MinorFamily.BIPARTITE_JOIN else is_equivalent
     non_members = [g for g in sweep3 if minor_search._reaches_any(g, fam, targets)]
     assert len(non_members) > 40
     for g in non_members:
         moves = reach_witness(g, fam, targets)
         end = replay_by_oracle_routes(g, moves, fam)
-        assert any(is_equivalent(end, t) for t in targets), (g, moves)
+        assert any(same(end, t) for t in targets), (g, moves)
 
 
 def test_kept_moves_lower_the_termination_measure(sweep3):
-    # the order the _reaches_any docstring proves: (E, I, -V) for the
-    # vertex-splitting families, (E, I, -F) for the face-splitting ones
+    # the order the _reaches_any docstring proves, for targets with I_t = 0,
+    # 1 or 2 isolated circles and D = |I - I_t|: (E, D, -V) for the
+    # vertex-splitting families, (E, D, -F) for the face-splitting ones and
+    # (E, D, V) for the join family
     from ribbonminor.minor_search import _isolated_count
 
-    def measure(s, fam):
-        splits_vertices = fam in (MinorFamily.EULERIAN, MinorFamily.CHECKERBOARD)
-        return s.n_edges, _isolated_count(s), -(s.n_vertices if splits_vertices else len(trace_boundaries(s)))
+    def measure(s, fam, iso_t):
+        if fam in (MinorFamily.EULERIAN, MinorFamily.CHECKERBOARD):
+            last = -s.n_vertices
+        elif fam is MinorFamily.BIPARTITE_JOIN:
+            last = s.n_vertices
+        else:
+            last = -len(trace_boundaries(s))
+        return s.n_edges, abs(_isolated_count(s) - iso_t), last
 
     for g in sweep3:
         for h in _with_isolated_circles(g):
-            for fam in set(MinorFamily) - {MinorFamily.BIPARTITE_JOIN}:
+            for fam in MinorFamily:
                 for mv in applicable_moves(h, fam):
                     nxt = mv.apply(h)
-                    if nxt.n_edges == h.n_edges and _isolated_count(nxt) > _isolated_count(h):
-                        continue
-                    assert measure(nxt, fam) < measure(h, fam), (h, fam, mv)
+                    for iso_t in (0, 1, 2):
+                        before, after = measure(h, fam, iso_t), measure(nxt, fam, iso_t)
+                        if nxt.n_edges == h.n_edges and after[1] > before[1]:
+                            continue
+                        assert after < before, (h, fam, mv, iso_t)
 
 
 class _MoveTo:
@@ -489,15 +528,22 @@ class _MoveTo:
     ["(a+ b+ c+ a+ b+ c+)", "(a+ b+ c+)(a+ b+ c+)"],
 ])
 def test_reach_pass_raises_on_a_cycle(monkeypatch, cycle):
-    # a list no check uses, so no answer for these states is recorded
     fam, targets = MinorFamily.CHECKERBOARD, [P("(a+ b+ c+ a- b- c-)")]
     states = [minor_search.canonical_presentation(P(text)) for text in cycle]
     nxt = {s: states[(i + 1) % len(states)] for i, s in enumerate(states)}
     monkeypatch.setattr(minor_search, "applicable_moves", lambda g, family: (_MoveTo(nxt[g]),))
+    # a fresh cache: no answer another test recorded settles these states
+    monkeypatch.setattr(minor_search, "_contains_cache", {})
     with pytest.raises(RuntimeError, match="met .* again"):
         minor_search._reaches_any(states[0], fam, targets)
-    keys = frozenset(minor_search.canonicalize(t) for t in targets)
-    assert not any(key[2] == keys for key in minor_search._contains_cache)
+    assert minor_search._contains_cache == {}
+
+
+@pytest.mark.parametrize("targets", [["(e+ e+)", "()(e+ e-)"], ["()(e+ e+)", "()()"], []])
+def test_reach_pass_needs_one_isolated_count(targets):
+    # the pruning rule is proved for one target count of isolated circles
+    with pytest.raises(RuntimeError, match="share one isolated-circle count"):
+        minor_search._reaches_any(P("(a+ a+)(b+ b-)"), MinorFamily.CHECKERBOARD, [P(t) for t in targets])
 
 
 def test_reach_pass_on_a_long_path_needs_no_recursion():

@@ -149,6 +149,20 @@ def test_enumeration_spec_validation():
         EnumerationSpec(2, 0, True)
 
 
+@pytest.mark.parametrize("args, field", [
+    ((3, 2.5), "max_circles"),
+    ((2.5,), "max_edges"),
+    (("3",), "max_edges"),
+    ((True,), "max_edges"),
+    ((3, False), "max_circles"),
+    ((3, "4"), "max_circles"),
+    ((None,), "max_edges"),
+])
+def test_enumeration_spec_bounds_must_be_integers(args, field):
+    with pytest.raises(ArpError, match=f"^{field} must be an integer"):
+        EnumerationSpec(*args)
+
+
 # -- theorem checks ----------------------------------------------------------------
 
 
@@ -222,9 +236,9 @@ def test_report_determinism():
         assert line.split("\t")[0] == "T2"
 
 
-def _four_edge_pins():
-    path = os.path.join(os.path.dirname(__file__), "verify_e4.sha256")
-    with open(path, encoding="ascii") as fh:
+def _pins(filename):
+    """The report digests recorded in tests/<filename>, by check id."""
+    with open(os.path.join(os.path.dirname(__file__), filename), encoding="ascii") as fh:
         pairs = [line.split() for line in fh]
     return {name.removeprefix("verify-").removesuffix(".out"): digest for digest, name in pairs}
 
@@ -232,14 +246,30 @@ def _four_edge_pins():
 def test_four_edge_pins_name_every_check():
     from ribbonminor import CHECKS, LEMMAS
 
-    pins = _four_edge_pins()
+    pins = _pins("verify_e4.sha256")
     assert list(pins) == [*CHECKS, *LEMMAS]
+    assert all(len(d) == 64 and int(d, 16) >= 0 for d in pins.values())
+
+
+def test_disconnected_three_edge_pins_name_every_theorem_check():
+    from ribbonminor import CHECKS
+
+    pins = _pins("verify_e3_disconnected.sha256")
+    assert list(pins) == list(CHECKS)
     assert all(len(d) == 64 and int(d, 16) >= 0 for d in pins.values())
 
 
 @pytest.mark.parametrize("check_id", ["T1", "T2", "T3", "T4", "C1", "C2", "C3", "C4"])
 def test_reach_pass_reports_match_four_edge_pins(check_id):
-    # the reports of the checks the reach pass decides, in process; CI
-    # compares all eighteen, each from a cold CLI run
+    # the reports of T1-T4 and C1-C4, in process; CI compares all
+    # eighteen, each from a cold CLI run
     text = verify_theorem(check_id, EnumerationSpec(4)).to_text()
-    assert hashlib.sha256(text.encode()).hexdigest() == _four_edge_pins()[check_id]
+    assert hashlib.sha256(text.encode()).hexdigest() == _pins("verify_e4.sha256")[check_id]
+
+
+@pytest.mark.parametrize("check_id", ["T1", "T2", "T3", "T4", "T5", "T6", "T7", "C1", "C2", "C3", "C4"])
+def test_theorem_reports_match_disconnected_three_edge_pins(check_id):
+    # the 349 classes of at most 3 edges, connected or not, so search states
+    # carry isolated circles; CI compares the same reports from cold CLI runs
+    text = verify_theorem(check_id, EnumerationSpec(3, connected_only=False)).to_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == _pins("verify_e3_disconnected.sha256")[check_id]
