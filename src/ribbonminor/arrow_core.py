@@ -51,6 +51,18 @@ class ArpError(ValueError):
     """Malformed arrow-presentation data or text."""
 
 
+def _malformed(circles, circle, circ) -> str:
+    """What the constructor reports when iterating ``circles`` or unpacking
+    an arrow fails: ``circle`` is the circle being read and ``circ`` its
+    arrows read so far, both None when no circle was read."""
+    if circ is None:
+        return f"bad circle list {circles!r}: not an iterable of circles"
+    try:
+        return f"bad arrow {circle[len(circ)]!r}: not a (label, sign) pair"
+    except (LookupError, TypeError):  # no arrow to name by position
+        return f"bad circle {circle!r}: not an iterable of (label, sign) pairs"
+
+
 class ArrowPresentation:
     """An immutable set of circles with paired, labelled, directed arrows.
 
@@ -73,16 +85,22 @@ class ArrowPresentation:
     def __init__(self, circles: Iterable[Iterable[Arrow]] = ()):
         circs = []
         occ: dict[str, list[tuple[int, int]]] = {}
-        for ci, circle in enumerate(circles):
-            circ = []
-            for label, sign in circle:
-                if not isinstance(label, str) or not _LABEL_RE.match(label):
-                    raise ArpError(f"bad edge label {label!r}")
-                if sign not in (1, -1):
-                    raise ArpError(f"bad sign {sign!r} for label {label!r}")
-                occ.setdefault(label, []).append((ci, len(circ)))
-                circ.append((label, sign))
-            circs.append(tuple(circ))
+        circle = circ = None
+        try:
+            for ci, circle in enumerate(circles):
+                circ = []
+                for label, sign in circle:
+                    if not isinstance(label, str) or not _LABEL_RE.match(label):
+                        raise ArpError(f"bad edge label {label!r}")
+                    if sign not in (1, -1):
+                        raise ArpError(f"bad sign {sign!r} for label {label!r}")
+                    occ.setdefault(label, []).append((ci, len(circ)))
+                    circ.append((label, sign))
+                circs.append(tuple(circ))
+        except ArpError:
+            raise
+        except (TypeError, ValueError):
+            raise ArpError(_malformed(circles, circle, circ)) from None
         self.circles: tuple[Circle, ...] = tuple(circs)
         self.occurrences: dict[str, tuple[tuple[int, int], ...]] = {
             lab: tuple(occ[lab]) for lab in sorted(occ)

@@ -40,13 +40,7 @@ from .arrow_core import (
     underlying_graph,
 )
 from .duality import geometric_dual
-from .minor_ops import (
-    MinorMove,
-    _cut,
-    _not_both_odd,
-    is_permissible_join,
-    is_proper_contraction,
-)
+from .minor_ops import MinorMove, is_permissible_join, is_proper_contraction
 from .predicates import is_bipartite, is_checkerboard_colourable, is_plane
 
 __all__ = [
@@ -96,31 +90,26 @@ class MinorFamily(str, Enum):
         return cls(name)
 
 
-# The split generators read the cut rule directly: the positions they make
-# are in range and at gaps or vertex line segments by construction, which is
-# all that can_split_vertex and can_split_face check before the same rule.
+def _even_pairs(m: int):
+    """The pairs a <= b of gaps that split a circle with m arrows, or of
+    vertex line segments that split a boundary walk with m edge line
+    segments, evenly: in order of a, then b.
 
+    A circle with d arrows has max(d, 1) gaps, and gaps a <= b cut it into
+    arcs holding b - a and d - (b - a) arrows.  A walk with k edge line
+    segments has max(k, 1) vertex line segments, at positions 2a, and the
+    same holds with k for d.  Both counts are odd exactly when the count is
+    even and b - a is odd.  So every pair splits evenly when the count is
+    odd, and the pairs with b - a even do when it is even; a == b always
+    does, the one gap of an isolated circle (m == 0) included.
 
-def _vertex_split_moves(g: ArrowPresentation) -> list[MinorMove]:
-    moves = []
-    for ci, c in enumerate(g.circles):
-        n, ngaps = 2 * len(c), max(len(c), 1)
-        for p in range(ngaps):
-            for q in range(p, ngaps):
-                if _not_both_odd(_cut(n, 2 * p, 2 * q)):
-                    moves.append(MinorMove("split-vertex", (ci, p, q)))
-    return moves
-
-
-def _face_split_moves(g: ArrowPresentation) -> list[MinorMove]:
-    moves = []
-    for bi, b in enumerate(trace_boundaries(g)):
-        vpos = b.vertex_positions()
-        for i, p in enumerate(vpos):
-            for q in vpos[i:]:
-                if _not_both_odd(_cut(len(b), p, q)):
-                    moves.append(MinorMove("split-face", (bi, p, q)))
-    return moves
+    >>> list(_even_pairs(2)), list(_even_pairs(3))[:4], list(_even_pairs(0))
+    ([(0, 0), (1, 1)], [(0, 0), (0, 1), (0, 2), (1, 1)], [(0, 0)])
+    """
+    n, step = max(m, 1), 1 + (m % 2 == 0)
+    for a in range(n):
+        for b in range(a, n, step):
+            yield a, b
 
 
 def applicable_moves(g: ArrowPresentation, family: MinorFamily) -> tuple[MinorMove, ...]:
@@ -133,20 +122,16 @@ def applicable_moves(g: ArrowPresentation, family: MinorFamily) -> tuple[MinorMo
     if family is MinorFamily.EULERIAN:
         moves += comp_dels
         moves += [MinorMove("contract", (e,)) for e in g.labels if is_proper_contraction(g, e)]
-        moves += _vertex_split_moves(g)
     elif family is MinorFamily.CHECKERBOARD:
         moves += comp_dels
         moves += [MinorMove("contract", (e,)) for e in g.labels]
-        moves += _vertex_split_moves(g)
     elif family is MinorFamily.EVEN_FACE:
         star = geometric_dual(g)  # deleting e is proper when contracting it in g* is
         moves += [MinorMove("delete", (e,)) for e in g.labels if is_proper_contraction(star, e)]
         moves += comp_dels
-        moves += _face_split_moves(g)
     elif family is MinorFamily.BIPARTITE:
         moves += [MinorMove("delete", (e,)) for e in g.labels]
         moves += comp_dels
-        moves += _face_split_moves(g)
     else:  # BIPARTITE_JOIN
         moves += [MinorMove("delete", (e,)) for e in g.labels]
         moves += [MinorMove("delete-vertex", (c,)) for c in range(g.n_vertices)]
@@ -156,6 +141,16 @@ def applicable_moves(g: ArrowPresentation, family: MinorFamily) -> tuple[MinorMo
             for c2 in range(c1 + 1, g.n_vertices)
             if is_permissible_join(g, c1, c2)
         ]
+    # The splits come last, at positions in range and at gaps or vertex line
+    # segments by construction: all that the public gates check before the
+    # rule that _even_pairs lists in closed form.
+    if family in (MinorFamily.EULERIAN, MinorFamily.CHECKERBOARD):
+        moves += [MinorMove("split-vertex", (ci, a, b))
+                  for ci, c in enumerate(g.circles) for a, b in _even_pairs(len(c))]
+    elif family in (MinorFamily.EVEN_FACE, MinorFamily.BIPARTITE):
+        moves += [MinorMove("split-face", (bi, 2 * a, 2 * b))
+                  for bi, w in enumerate(trace_boundaries(g))
+                  for a, b in _even_pairs(w.n_edge_segments())]
     return tuple(moves)
 
 
@@ -195,21 +190,28 @@ def _state_key(g: ArrowPresentation, family: MinorFamily):
 
 
 def _pruning(targets, family: MinorFamily):
-    """The isolated-circle count every target has, and the test for a state
-    below every target: fewer edges, or in the Eulerian family lower Euler
-    genus.  Targets with different isolated-circle counts raise
-    RuntimeError, since the pruning rule of :func:`minor_witness` is proved
-    for one count."""
+    """The two pruning tests for a search towards ``targets``:
+    ``below(s)``, a state below every target (fewer edges, or in the
+    Eulerian family lower Euler genus), and ``strays(s, nxt)``, a move from
+    s to nxt that keeps the edge count and takes the isolated-circle count
+    further from the targets'.  Targets with different isolated-circle
+    counts raise RuntimeError, since the rule of :func:`minor_witness` is
+    proved for one count."""
     counts = {_isolated_count(t) for t in targets}
     if len(counts) != 1:
         raise RuntimeError("the search needs targets that share one isolated-circle count")
+    (iso_t,) = counts
     emin = min(t.n_edges for t in targets)
     gmin = min(map(euler_genus, targets)) if family is MinorFamily.EULERIAN else None
 
     def below(s: ArrowPresentation) -> bool:
         return s.n_edges < emin or (gmin is not None and euler_genus(s) < gmin)
 
-    return counts.pop(), below
+    def strays(s: ArrowPresentation, nxt: ArrowPresentation) -> bool:
+        return (nxt.n_edges == s.n_edges
+                and abs(_isolated_count(nxt) - iso_t) > abs(_isolated_count(s) - iso_t))
+
+    return below, strays
 
 
 #: (family, state key, frozenset of target keys) -> whether the state
@@ -260,18 +262,15 @@ def minor_witness(g: ArrowPresentation, h: ArrowPresentation, family: MinorFamil
     start_key, target = _state_key(start, family), _state_key(h, family)
     if start_key == target:
         return []
-    iso_h, below_h = _pruning([h], family)
+    below_h, strays = _pruning([h], family)
     seen = {start_key}
     parents: dict = {}
     queue = deque([] if below_h(start) else [start])
     while queue:
         state = queue.popleft()
         skey = _state_key(state, family)
-        iso_gap = abs(_isolated_count(state) - iso_h)
         for mv, nxt in _successors(state, family):
-            if below_h(nxt):
-                continue
-            if nxt.n_edges == state.n_edges and abs(_isolated_count(nxt) - iso_h) > iso_gap:
+            if below_h(nxt) or strays(state, nxt):
                 continue
             nkey = _state_key(nxt, family)
             if nkey in seen:
@@ -360,11 +359,11 @@ def _reaches_any(g: ArrowPresentation, family: MinorFamily, targets) -> bool:
     ``canonical_presentation(mv.apply(s))`` are built one at a time, in
     :func:`applicable_moves` order, and the state reaches as soon as one of
     them does; so when a successor reaches, every state on the stack does.
-    A state below every target (:func:`_pruning`) does not reach, and a
-    move that keeps the edge count and takes the isolated-circle count
-    further from I_t is skipped.  Every answer goes into ``_contains_cache``
-    under ``(family, state key, frozenset of the target keys)``, the same
-    answer for every start.
+    A state below every target does not reach, and a move that keeps the
+    edge count and takes the isolated-circle count further from I_t is
+    skipped: the ``below`` and ``strays`` tests of :func:`_pruning`.
+    Every answer goes into ``_contains_cache`` under ``(family, state key,
+    frozenset of the target keys)``, the same answer for every start.
 
     Sound and complete.  Every followed move is a family move, so True is a
     real containment.  If s contains a target t, :func:`minor_witness`
@@ -398,7 +397,7 @@ def _reaches_any(g: ArrowPresentation, family: MinorFamily, targets) -> bool:
     state met again on the stack would break this argument: it raises
     RuntimeError instead of being answered.
     """
-    iso_t, below = _pruning(targets, family)
+    below, strays = _pruning(targets, family)
     keys = frozenset(_state_key(t, family) for t in targets)
 
     def known(s: ArrowPresentation, key) -> bool | None:
@@ -417,10 +416,9 @@ def _reaches_any(g: ArrowPresentation, family: MinorFamily, targets) -> bool:
     on_stack = {start_key}
     while stack:
         state, key, moves = stack[-1]
-        iso_gap = abs(_isolated_count(state) - iso_t)
         for mv in moves:
             nxt = canonical_presentation(mv.apply(state))
-            if nxt.n_edges == state.n_edges and abs(_isolated_count(nxt) - iso_t) > iso_gap:
+            if strays(state, nxt):
                 continue
             nkey = _state_key(nxt, family)
             if nkey in on_stack:

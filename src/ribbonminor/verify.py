@@ -280,6 +280,9 @@ def _genus_check(g, family) -> tuple[int, int]:
     return len(moves), sum(euler_genus(mv.apply(g)) > base for mv in moves)
 
 
+# Two sets of classes compared once per class, hence its rows' moves=1: the
+# duals of the classes one family move reaches from g, against the classes
+# one dual-family move reaches from g*.  Moves are not matched one to one.
 def _transport_check(g, family, dual_family) -> tuple[int, int]:
     star = geometric_dual(g)
     direct = {canonicalize(geometric_dual(mv.apply(g))) for mv in applicable_moves(g, family)}

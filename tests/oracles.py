@@ -851,8 +851,8 @@ def capped_minor_search(g: ArrowPresentation, h: ArrowPresentation, family: Mino
 
 # Move generation as first written: every candidate split is put to the
 # public, validating gate, and each even-face deletion dualises g again.
-# The library reads the cut rule directly and dualises once; it must give
-# the same moves in the same order.
+# The library lists the even splits in closed form (minor_search._even_pairs)
+# and dualises once; it must give the same moves in the same order.
 
 
 def _vertex_split_moves_by_gates(g: ArrowPresentation) -> list[MinorMove]:

@@ -89,11 +89,33 @@ def test_constructor_reports_least_label_with_wrong_count():
         ((1, 1), r"^bad edge label 1$"),
         ((None, 1), r"^bad edge label None$"),
         (("a", [1]), r"^bad sign \[1\] for label 'a'$"),
+        # arrows that are not (label, sign) pairs
+        ("a", r"^bad arrow 'a': not a \(label, sign\) pair$"),
+        (("a", 1, 2), r"^bad arrow \('a', 1, 2\): not a \(label, sign\) pair$"),
+        (None, r"^bad arrow None: not a \(label, sign\) pair$"),
     ],
 )
 def test_constructor_rejects_non_string_or_unhashable_input(arrow, message):
     with pytest.raises(ArpError, match=message):
         ArrowPresentation([[arrow, arrow]])
+
+
+@pytest.mark.parametrize(
+    "circles, message",
+    [
+        ("ab", r"^bad arrow 'a': not a \(label, sign\) pair$"),
+        ([[("a", 1)], [("a", 1), ("b",)]], r"^bad arrow \('b',\): not a \(label, sign\) pair$"),
+        ([None], r"^bad circle None: not an iterable of \(label, sign\) pairs$"),
+        ([[("a", 1), ("a", 1)], 5], r"^bad circle 5: not an iterable of \(label, sign\) pairs$"),
+        (5, r"^bad circle list 5: not an iterable of circles$"),
+        ([iter([("a", 1), 3])], r"^bad circle <list_iterator .*>: not an iterable of \(label, sign\) pairs$"),
+    ],
+)
+def test_constructor_rejects_what_is_not_circles_of_arrows(circles, message):
+    # circles and circle lists that cannot be iterated, and a bad arrow met
+    # after good ones or on a circle read only once
+    with pytest.raises(ArpError, match=message):
+        ArrowPresentation(circles)
 
 
 def test_parse_rejects_stray_text():

@@ -1,3 +1,4 @@
+import hashlib
 import sys
 
 import pytest
@@ -104,6 +105,18 @@ def test_even_face_moves_dualise_at_most_once(sweep3, monkeypatch):
         calls.clear()
         applicable_moves(g, MinorFamily.EVEN_FACE)
         assert len(calls) <= 1, (g, len(calls))
+
+
+def test_even_pairs_list_what_the_cut_rule_accepts():
+    # every gap pair of a circle with m arrows, and every pair of vertex
+    # line segments of a walk with m edge line segments (length 2m, or 1)
+    from ribbonminor.minor_ops import _cut, _not_both_odd
+
+    for m in range(25):
+        pairs = [(a, b) for a in range(max(m, 1)) for b in range(a, max(m, 1))]
+        listed = list(minor_search._even_pairs(m))
+        assert listed == [(a, b) for a, b in pairs if _not_both_odd(_cut(2 * m, 2 * a, 2 * b))], m
+        assert listed == [(a, b) for a, b in pairs if _not_both_odd(_cut(2 * m or 1, 2 * a, 2 * b))], m
 
 
 # -- containment -------------------------------------------------------------------
@@ -441,6 +454,31 @@ def test_reach_lists_cover_every_ribbon_check(reach_lists):
     # T1-T5 and C1-C4 one list each; T6 and T7 one list in two families each
     assert len(reach_lists) == 13
     assert {fam for fam, _ in reach_lists} == set(MinorFamily)
+
+
+# sha256 of the witness lines below, recorded before the split generators
+# listed their pairs in closed form: move order decides which shortest
+# witness the breadth-first search returns, so any change to it shows here
+_WITNESS_PIN = "5b829160a2d2c66fbe2e85cf385627feed89877483b3abac89bda9c9d2d00e4b"
+
+
+def test_shortest_witnesses_are_pinned(sweep3, reach_lists):
+    # each connected class of at most 3 edges against every target its
+    # family's lists name: 1,540 queries, 510 of them with a witness of at
+    # least one move, 44 of those with a face split and 44 a vertex split
+    cat = {t.to_text(): t for t in target_catalog().values()}
+    lines, kinds = [], []
+    for fam in MinorFamily:
+        for t in sorted({t.to_text() for f, ts in reach_lists if f is fam for t in ts}):
+            for g in sweep3:
+                w = minor_witness(g, cat[t], fam)
+                kinds.append({mv.kind for mv in w} if w else None)
+                text = "none" if w is None else "; ".join(map(str, w))
+                lines.append(f"{fam.value} {t} {g.to_text()}: {text}")
+    assert len(lines) == 1540
+    found = [k for k in kinds if k]
+    assert (len(found), sum("split-face" in k for k in found), sum("split-vertex" in k for k in found)) == (510, 44, 44)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == _WITNESS_PIN
 
 
 def _assert_reach_pass_matches_search(starts, lists):
