@@ -152,9 +152,6 @@ class ArrowPresentation:
     def from_text(cls, text: str) -> "ArrowPresentation":
         return parse_arp(text)
 
-    def to_arp(self) -> str:
-        return format_arp(self)
-
     # -- value semantics -------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -271,10 +268,6 @@ class BoundaryComponent:
 
     def n_edge_segments(self) -> int:
         return len(self.segments) // 2
-
-    def vertex_positions(self) -> tuple[int, ...]:
-        """Positions of the vertex line segments within this walk: the even ones."""
-        return tuple(range(0, len(self.segments), 2))
 
     def position_of(self, seg: Segment) -> int:
         try:

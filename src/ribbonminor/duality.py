@@ -52,12 +52,15 @@ def partial_dual(g: ArrowPresentation, edges: Iterable[str]) -> ArrowPresentatio
     """
     if isinstance(edges, str):
         raise ArpError(f"edge labels must be given as a collection, not the string {edges!r}")
-    a = frozenset(edges)
+    try:
+        a = frozenset(edges)
+    except TypeError:  # not iterable, or an unhashable member
+        raise ArpError(f"edge labels must be a collection of strings, got {edges!r}") from None
     if not a:
         return g
     missing = a.difference(g.occurrences)
-    if missing:
-        raise ArpError(f"label {sorted(missing)[0]!r} not present")
+    if missing:  # non-strings before strings, each by its text, so that any labels compare
+        raise ArpError(f"label {min(missing, key=lambda x: (isinstance(x, str), str(x)))!r} not present")
     return ArrowPresentation(_dual_words(g, a))
 
 

@@ -48,7 +48,9 @@ __all__ = [
 
 
 def _check_label(g: ArrowPresentation, e: str) -> None:
-    if e not in g.occurrences:
+    # a label is a string; any other value, unhashable ones included, is
+    # not one of g's
+    if not isinstance(e, str) or e not in g.occurrences:
         raise ArpError(f"label {e!r} not present")
 
 

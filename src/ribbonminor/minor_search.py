@@ -113,45 +113,38 @@ def _even_pairs(m: int):
 
 
 def applicable_moves(g: ArrowPresentation, family: MinorFamily) -> tuple[MinorMove, ...]:
-    """Every legal move of the family on g, duplicate-free, in a fixed order
-    (deletions, then contractions, then splits, then joins)."""
+    """Every legal move of the family on g, duplicate-free, in a fixed order.
+
+    The dual pairs share their lists: cc takes the Eulerian moves and
+    bipartite the even-face moves, each without the properness test.  In
+    order, Eulerian and cc list component deletions, contractions and
+    vertex splits; even-face and bipartite deletions, component deletions
+    and face splits; join deletions, vertex deletions and joins.  The
+    splits are at positions in range and at gaps or vertex line segments by
+    construction: all that the public gates check before the rule that
+    :func:`_even_pairs` lists in closed form.
+    """
     family = MinorFamily(family)
+    if family is MinorFamily.BIPARTITE_JOIN:
+        n = g.n_vertices
+        return (*(MinorMove("delete", (e,)) for e in g.labels),
+                *(MinorMove("delete-vertex", (c,)) for c in range(n)),
+                *(MinorMove("join", (c1, c2)) for c1 in range(n) for c2 in range(c1 + 1, n)
+                  if is_permissible_join(g, c1, c2)))
     n_comp = len(underlying_graph(g).components())
     comp_dels = [MinorMove("delete-component", (k,)) for k in range(n_comp)]
-    moves: list[MinorMove] = []
-    if family is MinorFamily.EULERIAN:
-        moves += comp_dels
-        moves += [MinorMove("contract", (e,)) for e in g.labels if is_proper_contraction(g, e)]
-    elif family is MinorFamily.CHECKERBOARD:
-        moves += comp_dels
-        moves += [MinorMove("contract", (e,)) for e in g.labels]
-    elif family is MinorFamily.EVEN_FACE:
-        star = geometric_dual(g)  # deleting e is proper when contracting it in g* is
-        moves += [MinorMove("delete", (e,)) for e in g.labels if is_proper_contraction(star, e)]
-        moves += comp_dels
-    elif family is MinorFamily.BIPARTITE:
-        moves += [MinorMove("delete", (e,)) for e in g.labels]
-        moves += comp_dels
-    else:  # BIPARTITE_JOIN
-        moves += [MinorMove("delete", (e,)) for e in g.labels]
-        moves += [MinorMove("delete-vertex", (c,)) for c in range(g.n_vertices)]
-        moves += [
-            MinorMove("join", (c1, c2))
-            for c1 in range(g.n_vertices)
-            for c2 in range(c1 + 1, g.n_vertices)
-            if is_permissible_join(g, c1, c2)
-        ]
-    # The splits come last, at positions in range and at gaps or vertex line
-    # segments by construction: all that the public gates check before the
-    # rule that _even_pairs lists in closed form.
     if family in (MinorFamily.EULERIAN, MinorFamily.CHECKERBOARD):
-        moves += [MinorMove("split-vertex", (ci, a, b))
-                  for ci, c in enumerate(g.circles) for a, b in _even_pairs(len(c))]
-    elif family in (MinorFamily.EVEN_FACE, MinorFamily.BIPARTITE):
-        moves += [MinorMove("split-face", (bi, 2 * a, 2 * b))
-                  for bi, w in enumerate(trace_boundaries(g))
-                  for a, b in _even_pairs(w.n_edge_segments())]
-    return tuple(moves)
+        moves = comp_dels + [MinorMove("contract", (e,)) for e in g.labels
+                             if family is MinorFamily.CHECKERBOARD or is_proper_contraction(g, e)]
+        split, step, counts = "split-vertex", 1, map(len, g.circles)
+    else:
+        # deleting e is proper when contracting it in g* is
+        star = geometric_dual(g) if family is MinorFamily.EVEN_FACE else None
+        moves = [MinorMove("delete", (e,)) for e in g.labels
+                 if star is None or is_proper_contraction(star, e)] + comp_dels
+        split, step, counts = "split-face", 2, (w.n_edge_segments() for w in trace_boundaries(g))
+    return (*moves, *(MinorMove(split, (i, step * a, step * b))
+                      for i, m in enumerate(counts) for a, b in _even_pairs(m)))
 
 
 # ---------------------------------------------------------------------------

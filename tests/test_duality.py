@@ -61,6 +61,23 @@ def test_partial_dual_rejects_a_bare_string():
     assert is_equivalent(partial_dual(P("(e1+ f+ e1+ f+)"), ["e1"]), partial_dual(P("(a+ b+ a+ b+)"), ["a"]))
 
 
+def test_partial_dual_rejects_labels_that_are_not_strings():
+    g = P("(a+ a+)")
+    for edges in ([["a"]], None, 5):
+        with pytest.raises(ArpError) as err:
+            partial_dual(g, edges)
+        assert str(err.value) == f"edge labels must be a collection of strings, got {edges!r}"
+    # a non-string is never a label; it is named before any missing string,
+    # so labels that do not compare still give one message
+    for edges in ([1, "b"], [1, "a"], {1, "1"}):
+        with pytest.raises(ArpError) as err:
+            partial_dual(g, edges)
+        assert str(err.value) == "label 1 not present"
+    with pytest.raises(ArpError) as err:
+        partial_dual(g, ["z", "b", "a"])
+    assert str(err.value) == "label 'b' not present"
+
+
 def test_geometric_dual_examples():
     assert is_equivalent(geometric_dual(P("(e+ e+)")), P("(e+)(e+)"))
     assert is_equivalent(geometric_dual(P("(e+)(e+)")), P("(e+ e+)"))

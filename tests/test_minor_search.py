@@ -81,6 +81,15 @@ def test_applicable_moves_match_gate_by_gate_reference(sweep3):
         for h in _with_isolated_circles(g):
             for fam in MinorFamily:
                 assert applicable_moves(h, fam) == applicable_moves_by_gates(h, fam), (h, fam)
+    # the disconnected classes pin where component deletions fall among
+    # the other moves when two or more components carry edges
+    disconnected = enumerate_presentations(EnumerationSpec(3, 4, False))
+    carrying = [sum(any(g.circles[c] for c in comp) for comp in underlying_graph(g).components())
+                for g in disconnected]
+    assert (len(disconnected), sum(k > 1 for k in carrying)) == (349, 95)
+    for g in disconnected:
+        for fam in MinorFamily:
+            assert applicable_moves(g, fam) == applicable_moves_by_gates(g, fam), (g, fam)
 
 
 def test_even_face_moves_dualise_at_most_once(sweep3, monkeypatch):

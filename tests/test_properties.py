@@ -252,7 +252,7 @@ def test_two_colourings_match_networkx(g):
 @given(presentations(max_edges=12, max_circles=6))
 def test_face_split_gate_matches_counted_arcs_up_to_12_edges(g):
     for bi, b in enumerate(trace_boundaries(g)):
-        vpos = b.vertex_positions()
+        vpos = range(0, len(b), 2)
         for p in vpos:
             for q in vpos:
                 assert can_split_face(g, bi, p, q) == can_split_face_counted(g, bi, p, q)
