@@ -139,7 +139,7 @@ class ArrowPresentation:
         return self.circles[circle][pos][1]
 
     def _check_circle(self, circle: int) -> None:
-        if not isinstance(circle, int) or not 0 <= circle < len(self.circles):
+        if type(circle) is not int or not 0 <= circle < len(self.circles):
             raise ArpError(f"unknown circle id {circle!r}")
 
     # -- text form -----------------------------------------------------
@@ -553,20 +553,26 @@ def _base_canonical(circles: tuple[Circle, ...]) -> tuple:
     (m, 0).  So while a label is open the next circle is adjacent to the
     placed ones, and when none is, every component is placed whole or not
     at all (an unplaced circle of a partly placed component would hold an
-    open label's arrow): components are contiguous, each one's encoding is
-    fixed by its first circle, and only those first circles, the *roots*,
-    can tie.
+    open label's arrow): components are contiguous, and each one's
+    encoding is fixed by the variant its first circle is read as.
 
-    At the start of a component every label is new, so a root encodes as
-    its own encoding with n added to each label index, which keeps order;
-    each component is therefore encoded on its own, by completing each of
-    its least roots, and the least completion wins.  The open labels after
-    some circles can be read from their encoding, so no component's
-    encoding is a proper prefix of another's (that one would be complete
-    there), and of two components the lesser goes first: they come in
-    sorted order, their label indices shifted past the ones before them.
-    A component with E edges has at most 4E root variants of O(E) arrows,
-    and a completion reads each arrow once, so it takes O(E^2).
+    At the start of a component every label is new, so its encoding is its
+    own encoding with n added to each label index, which keeps order; each
+    component is therefore encoded on its own, as the least completion of
+    all its variants.  The open labels after some circles can be read from
+    their encoding, so no component's encoding is a proper prefix of
+    another's (that one would be complete there), and of two components
+    the lesser goes first: they come in sorted order, their label indices
+    shifted past the ones before them.
+
+    Every variant is completed against the least completion so far, arrow
+    by arrow, and dropped at its first arrow above the one at the same
+    place, or at an arrow past the end of a tied row, since every
+    completion of it is then above that one.  So the least completion is
+    the minimum over all variants.  Once the best starts with the least
+    first row, a variant whose first row is above it is dropped within
+    that row, at its first larger arrow.  A component with E edges has 4E variants, and a completion
+    reads each of its 2E arrows at most once, so it takes O(E^2).
 
     Internally an arrow (i, bit) is the integer 2i + bit, in the same order.
     """
@@ -588,13 +594,12 @@ def _base_canonical(circles: tuple[Circle, ...]) -> tuple:
                     if not placed[cj]:
                         placed[cj] = True
                         comp.append(cj)
-        roots = _roots(circles, rev, comp)
         best = None
-        # the tied roots of a one-circle component all encode as its least row
-        for ci, seq in roots[:1] if len(comp) == 1 else roots:
-            rows = _complete(circles, rev, where, ci, seq, best)
-            if rows is not None:
-                best = rows
+        for ci in comp:
+            n = len(circles[ci])
+            for twice in (circles[ci] * 2, rev[ci] * 2):
+                for p in range(n):
+                    best = _complete(circles, rev, where, ci, twice[p : p + n], best) or best
         comps.append(best)
     out = [() for c in circles if not c]
     shift = 0
@@ -604,82 +609,52 @@ def _base_canonical(circles: tuple[Circle, ...]) -> tuple:
     return tuple(out)
 
 
-def _roots(circles: tuple[Circle, ...], rev: list[Circle], comp: list[int]) -> list[tuple[int, Circle]]:
-    """The variants of the circles in ``comp`` with the least own encoding,
-    as (circle, variant); each variant is read only as far as it ties."""
-    roots: list[tuple[int, Circle]] = []
-    best: list[int] = []  # the roots' encoding, then -1: a longer variant loses
-    for ci in comp:
-        n = len(circles[ci])
-        for twice in (circles[ci] * 2, rev[ci] * 2):
-            for p in range(n):
-                seq = twice[p : p + n]
-                firsts: dict[str, tuple[int, Sign]] = {}
-                row: list[int] = []
-                new = 0  # the code of the next new label
-                tied = bool(roots)
-                for t, (lab, s) in enumerate(seq):
-                    f = firsts.get(lab)
-                    if f is None:
-                        x = new
-                        firsts[lab] = (x, s)
-                        new += 2
-                    else:
-                        x = f[0] + (s != f[1])
-                    if tied:
-                        y = best[t]
-                        if x != y:
-                            if x > y:
-                                break
-                            tied = False
-                    row.append(x)
-                else:
-                    if tied and len(row) == len(best) - 1:
-                        roots.append((ci, seq))
-                    else:
-                        best, roots = row + [-1], [(ci, seq)]
-    return roots
-
-
 def _complete(
     circles: tuple[Circle, ...], rev: list[Circle], where: _Where, ci: int, seq: Circle, best: list[list[int]] | None
 ) -> list[list[int]] | None:
     """The encoding of the component whose first circle is ``ci`` read as
-    ``seq``, each later circle forced (see :func:`_base_canonical`); None as
-    soon as it is above ``best``."""
-    firsts: dict[str, tuple[int, Sign]] = {}
-    # per label index: its unplaced arrow as (circle, position, direction
-    # that reads it with bit 0), or None once both arrows are placed
-    unplaced: list[tuple[int, int, int] | None] = []
+    ``seq``, each later circle forced (see :func:`_base_canonical`); None at
+    its first arrow above ``best``."""
+    firsts: dict[str, tuple[int, Sign, int]] = {}  # label -> (x, sign, circle)
+    # per label index: the label while it is open, None once both arrows
+    # are placed
+    opened: list[str | None] = []
     rows: list[list[int]] = []
     m = 0  # no label below m is open
-    less = best is None
+    tied = best is not None
     while True:
         row = []
+        if tied:
+            ahead = iter(best[len(rows)])
         for lab, s in seq:
             f = firsts.get(lab)
             if f is None:
-                x = 2 * len(unplaced)
-                firsts[lab] = (x, s)
-                a, b = where[lab]
-                cj, j, t = b if a[0] == ci else a
-                unplaced.append((cj, j, t * s))
+                x = 2 * len(opened)
+                firsts[lab] = (x, s, ci)
+                opened.append(lab)
             else:
                 x = f[0] + (s != f[1])
-                unplaced[x >> 1] = None
+                opened[x >> 1] = None
+            if tied:
+                y = next(ahead, -1)  # -1: this row runs past the tied one
+                if x != y:
+                    if x > y:
+                        return None
+                    tied = False
             row.append(x)
-        if not less:
-            if row > best[len(rows)]:
-                return None
-            less = row < best[len(rows)]
+        # a row that is a proper prefix of the best row is below it
+        tied = tied and next(ahead, None) is None
         rows.append(row)
-        while m < len(unplaced) and unplaced[m] is None:
+        while m < len(opened) and opened[m] is None:
             m += 1
-        if m == len(unplaced):
+        if m == len(opened):
             return rows
-        ci, j, d = unplaced[m]
-        c = circles[ci] if d > 0 else rev[ci]
-        j = j if d > 0 else len(c) - 1 - j
+        lab = opened[m]
+        _, s, cp = firsts[lab]
+        a, b = where[lab]
+        ci, j, t = b if a[0] == cp else a
+        c = circles[ci] if t == s else rev[ci]
+        j = j if t == s else len(c) - 1 - j
         seq = c[j:] + c[:j]
 
 

@@ -88,7 +88,7 @@ def delete_component(g: ArrowPresentation, comp: int) -> ArrowPresentation:
     """Remove a connected component (given by index, components ordered by
     smallest circle id) together with all its circles and edges."""
     comps = underlying_graph(g).components()
-    if not isinstance(comp, int) or not 0 <= comp < len(comps):
+    if type(comp) is not int or not 0 <= comp < len(comps):
         raise ArpError(f"unknown component {comp!r}")
     drop = comps[comp]
     return ArrowPresentation(
@@ -164,7 +164,7 @@ def dual_distance(g: ArrowPresentation, e: str) -> int:
 def _gap_cut(g: ArrowPresentation, circle: int, p: int, q: int) -> tuple[int, int]:
     ngaps = g.n_gaps(circle)
     for pos in (p, q):
-        if not isinstance(pos, int) or not 0 <= pos < ngaps:
+        if type(pos) is not int or not 0 <= pos < ngaps:
             raise ArpError(f"invalid position {pos!r} (circle has {ngaps} gaps)")
     return _cut(2 * g.degree(circle), 2 * p, 2 * q)
 
@@ -176,7 +176,7 @@ def vls_dual_distance(g: ArrowPresentation, circle: int, p: int, q: int) -> int:
 
 def _resolve_position(b: BoundaryComponent, s: Union[Segment, int]) -> int:
     if isinstance(s, int):
-        if not 0 <= s < len(b.segments):
+        if type(s) is not int or not 0 <= s < len(b.segments):
             raise ArpError(f"invalid boundary position {s!r}")
         return s
     return b.position_of(s)
@@ -189,7 +189,7 @@ def boundary_distance(
     component b, either way round.  s and t may be segments or positions."""
     if isinstance(b, int):
         boundaries = trace_boundaries(g)
-        if not 0 <= b < len(boundaries):
+        if type(b) is not int or not 0 <= b < len(boundaries):
             raise ArpError(f"unknown boundary component {b!r}")
         b = boundaries[b]
     return min(_cut(len(b), _resolve_position(b, s), _resolve_position(b, t)))
@@ -271,11 +271,11 @@ def can_split_face(g: ArrowPresentation, b: int, p: int, q: int) -> bool:
     must not both carry an odd number of edge line segments (on an even
     boundary component this is exactly evenness of the distance)."""
     boundaries = trace_boundaries(g)
-    if not isinstance(b, int) or not 0 <= b < len(boundaries):
+    if type(b) is not int or not 0 <= b < len(boundaries):
         raise ArpError(f"unknown boundary component {b!r}")
     n = len(boundaries[b])
     for pos in (p, q):
-        if not isinstance(pos, int) or not 0 <= pos < n:
+        if type(pos) is not int or not 0 <= pos < n:
             raise ArpError(f"invalid boundary position {pos!r}")
         if pos % 2:
             raise ArpError(f"position {pos} is not a vertex line segment")

@@ -340,8 +340,9 @@ def test_single_circle_reversal_preserves_everything(sweep2):
 
 
 def test_canonicalize_memory_on_long_path():
-    # the canonical form keeps the tied roots and two completions, not every
-    # circle variant: a 100-circle path stays small
+    # the canonical form holds two completions at a time, the least so far
+    # and the one being read, never one per circle variant: a 100-circle
+    # path stays small
     import tracemalloc
 
     n = 100
@@ -364,6 +365,35 @@ def test_base_canonical_matches_search_on_augmentation_candidates(connected_only
     for g in enumerate_presentations(EnumerationSpec(3, connected_only=connected_only)):
         for circles in _augmentations(g.circles):
             assert _base_canonical(circles) == search_base_canonical(circles), circles
+
+
+def _random_circles(seed: int) -> tuple:
+    # 8-32 edges with random signs, shuffled and cut into 2-10 non-empty circles
+    import random
+
+    rng = random.Random(seed)
+    n_edges, n_circles = rng.randint(8, 32), rng.randint(2, 10)
+    arrows = [(f"e{i}", rng.choice((1, -1))) for i in range(n_edges) for _ in range(2)]
+    rng.shuffle(arrows)
+    cuts = [0, *sorted(rng.sample(range(1, len(arrows)), n_circles - 1)), len(arrows)]
+    return tuple(tuple(arrows[a:b]) for a, b in zip(cuts, cuts[1:]))
+
+
+_LARGE_INPUTS = {
+    # every variant of a cycle (m_i+ m_i+1+) ties, so every one is completed
+    **{f"cycle-{n}": tuple(((f"m{i}", 1), (f"m{(i + 1) % n}", 1)) for i in range(n)) for n in (6, 7, 12, 30)},
+    # a path, inner circles first: an end circle reads [0], a proper prefix
+    # of the inner rows met before it, so it is below them
+    **{f"path-{n}": P("\n".join([*(f"m{i}+ m{i + 1}+" for i in range(n - 2)), "m0+", f"m{n - 2}+"])).circles
+       for n in (6, 30)},
+    "bouquet-20": (tuple((f"x{i}", 1) for i in range(20)) * 2,),
+    **{f"random-{seed}": _random_circles(seed) for seed in range(20)},
+}
+
+
+@pytest.mark.parametrize("circles", _LARGE_INPUTS.values(), ids=_LARGE_INPUTS.keys())
+def test_base_canonical_matches_search_on_large_inputs(circles):
+    assert _base_canonical(circles) == search_base_canonical(circles)
 
 
 @pytest.mark.parametrize("piece", ["(x+ x+)", "(x+)(x+)"])

@@ -372,6 +372,38 @@ def test_minor_move_apply_dispatch():
     assert MinorMove("split-vertex", (0, 0, 2)).apply(g) == split_vertex(g, 0, 0, 2)
 
 
+@pytest.mark.parametrize(
+    "kind, params, text, message",
+    [
+        ("delete-component", (True,), "(a+)(a+)()", "unknown component True"),
+        ("split-vertex", (0, True, True), "(a+ a+)", "invalid position True (circle has 2 gaps)"),
+        ("split-face", (True, 0, 0), "(a+ a+)", "unknown boundary component True"),
+        ("join", (0, True), "(a+)(a+)()", "unknown circle id True"),
+        ("delete-vertex", (True,), "(a+)(a+)()", "unknown circle id True"),
+    ],
+)
+def test_minor_move_rejects_bool_parameters(kind, params, text, message):
+    # bool is a subclass of int, but EnumerationSpec and MinorMove.parse
+    # accept no bool, so neither does a move
+    with pytest.raises(ArpError) as err:
+        MinorMove(kind, params).apply(P(text))
+    assert str(err.value) == message
+
+
+def test_distances_reject_bool_parameters():
+    g = P("(a+ a+)")
+    calls = [
+        (lambda: vls_dual_distance(g, 0, 0, True), "invalid position True (circle has 2 gaps)"),
+        (lambda: boundary_distance(g, True, 0, 0), "unknown boundary component True"),
+        (lambda: boundary_distance(g, 0, 0, True), "invalid boundary position True"),
+        (lambda: can_split_face(g, 0, False, 0), "invalid boundary position False"),
+    ]
+    for call, message in calls:
+        with pytest.raises(ArpError) as err:
+            call()
+        assert str(err.value) == message
+
+
 @pytest.mark.parametrize("kind", sorted(MinorMove.KINDS))
 def test_minor_move_apply_checks_parameter_count(kind):
     names = MinorMove.KINDS[kind][1]

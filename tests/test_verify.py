@@ -97,6 +97,7 @@ def test_enumeration_class_counts():
         ((4, 2, True), 446, "c1f4a7b6d4dc8c5f531421425eaf0ad01464b492f7d14173ca39b96d8484e4a2"),
         ((4, 4, True), 588, "2982d3c95b9f77414ddb03c1884e2c32450b07311294c207b22897eed27ed39e"),
         ((4, 5, True), 591, "7b72d729f6344004a5512d2f8c8d5ad1dd22b8bcd5468171b11e8c72c219b313"),
+        ((4, 5, False), 3406, "a73a4d594702ebdd442e8f2366a33af175f1894edaae2a2b156e471b3beaa669"),
     ],
     ids=lambda v: "e%d-c%d-%s" % v if isinstance(v, tuple) else None,
 )
