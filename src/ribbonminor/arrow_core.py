@@ -667,27 +667,35 @@ def _canonical_label(i: int) -> str:
     return out
 
 
-#: Canonical text of every presentation canonicalised so far.  Each class's
-#: representative is a key too, and all entries of a class share one string.
-_canon_cache: dict[ArrowPresentation, str] = {}
-#: Canonical text -> the class's representative, built once per class.
-_canon_reps: dict[str, ArrowPresentation] = {}
+#: The representative of every presentation canonicalised so far: one
+#: shared instance per class, which maps to itself.
+_canon_cache: dict[ArrowPresentation, ArrowPresentation] = {}
 
 
 def _representative(enc: tuple) -> ArrowPresentation:
     """The representative of the class whose minimal encoding (see
-    :func:`_base_canonical`) is ``enc``, built and cached the first time."""
-    circles = tuple(tuple((_canonical_label(i), -1 if bit else 1) for i, bit in c) for c in enc)
-    text = _circles_text(circles)
-    rep = _canon_reps.get(text)
+    :func:`_base_canonical`) is ``enc``, interned in ``_canon_cache``."""
+    rep = ArrowPresentation(tuple((_canonical_label(i), -1 if bit else 1) for i, bit in c) for c in enc)
+    return _canon_cache.setdefault(rep, rep)
+
+
+def canonical_presentation(g: ArrowPresentation) -> ArrowPresentation:
+    """The representative of g's equivalence class: one shared instance per
+    class, so equivalent presentations give the same object, and the
+    representative is its own.
+
+    >>> canonical_presentation(parse_arp("(e+ e-)")) is canonical_presentation(parse_arp("(f- f+)"))
+    True
+    """
+    rep = _canon_cache.get(g)
     if rep is None:
-        rep = _canon_reps[text] = ArrowPresentation(circles)
-    _canon_cache.setdefault(rep, text)
+        rep = _canon_cache[g] = _representative(_base_canonical(g.circles))
     return rep
 
 
 def canonicalize(g: ArrowPresentation) -> str:
-    """Canonical textual form; equal exactly for equivalent presentations.
+    """Canonical textual form, the text of :func:`canonical_presentation`;
+    equal exactly for equivalent presentations.
 
     Edge flips are absorbed by encoding each label's second occurrence by its
     sign relative to the first, so no flip is searched over.  Idempotent:
@@ -697,18 +705,9 @@ def canonicalize(g: ArrowPresentation) -> str:
     >>> canonicalize(parse_arp("(e+ e-)")) == canonicalize(parse_arp("(f- f+)"))
     True
     """
-    text = _canon_cache.get(g)
-    if text is None:
-        text = _canon_cache[g] = _canon_cache[_representative(_base_canonical(g.circles))]
-    return text
-
-
-def canonical_presentation(g: ArrowPresentation) -> ArrowPresentation:
-    """The canonical representative of g's equivalence class: one shared
-    instance per class, whose ``to_text()`` is :func:`canonicalize` of g."""
-    return _canon_reps[canonicalize(g)]
+    return canonical_presentation(g).to_text()
 
 
 def is_equivalent(g: ArrowPresentation, h: ArrowPresentation) -> bool:
     """Whether g and h present the same ribbon graph."""
-    return canonicalize(g) == canonicalize(h)
+    return canonical_presentation(g) is canonical_presentation(h)

@@ -6,10 +6,10 @@ component deletions and even vertex splits; ``cc`` (checkerboard colourable)
 the same with all contractions allowed; ``even-face`` proper edge deletions,
 component deletions and even face splits; ``bipartite`` the same with all
 deletions allowed; ``join`` permissible vertex joins, vertex deletions and
-edge deletions.  Search states are canonical forms; for the join family
-two presentations count as the same state when their underlying abstract
-graphs are isomorphic, since joins only ever feed abstract-graph
-predicates.
+edge deletions.  A search state is known by its class's representative
+(:func:`canonical_presentation`); for the join family two presentations
+count as the same state when their underlying abstract graphs are
+isomorphic, since joins only ever feed abstract-graph predicates.
 
 One procedure decides containment.  :func:`_reaches_any` asks whether a
 state reaches *some* target of a list, in one depth-first pass per list
@@ -33,7 +33,6 @@ from .arrow_core import (
     ArpError,
     ArrowPresentation,
     canonical_presentation,
-    canonicalize,
     euler_genus,
     parse_arp,
     trace_boundaries,
@@ -171,11 +170,12 @@ def _isolated_count(g: ArrowPresentation) -> int:
 
 
 def _state_key(g: ArrowPresentation, family: MinorFamily):
-    """What a search state is known by: its canonical form, or in the join
-    family the isomorphism key of its underlying graph.  Join-family moves
-    never add a vertex, so a search's start bounds every state it keys."""
+    """What a search state is known by: its class's representative, or in
+    the join family the isomorphism key of its underlying graph.  Join-family
+    moves never add a vertex, so a search's start bounds every state it
+    keys."""
     if family is not MinorFamily.BIPARTITE_JOIN:
-        return canonicalize(g)
+        return canonical_presentation(g)
     if g.n_vertices > MAX_KEY_VERTICES:
         raise ArpError(f"the join family compares underlying graphs, which is supported "
                        f"for at most {MAX_KEY_VERTICES} vertices; got {g.n_vertices} vertices")
@@ -222,9 +222,9 @@ def contains_minor(g: ArrowPresentation, h: ArrowPresentation, family: MinorFami
 def minor_witness(g: ArrowPresentation, h: ArrowPresentation, family: MinorFamily):
     """A shortest move sequence witnessing containment, or None.
 
-    Each move applies to the canonical form of the previous state, starting
-    from the canonical form of g; :func:`replay_witness` follows the same
-    convention.
+    Each move applies to the representative of the previous state's class,
+    starting from g's representative; :func:`replay_witness` follows the
+    same convention.
 
     Breadth-first over state keys.  No state below h is expanded, the start
     included: one with fewer edges than h, or with lower Euler genus than h

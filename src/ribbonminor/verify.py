@@ -19,11 +19,12 @@ from .arrow_core import (
     Circle,
     _base_canonical,
     _representative,
+    canonical_presentation,
     canonicalize,
     euler_genus,
 )
 from .duality import geometric_dual
-from .minor_ops import contract_edge, delete_edge, delete_vertex
+from .minor_ops import MinorMove
 from .minor_search import (
     MinorFamily,
     applicable_moves,
@@ -249,35 +250,14 @@ def verify_theorem(check_id: str, spec: EnumerationSpec = EnumerationSpec()) -> 
 # ---------------------------------------------------------------------------
 
 
-def _closure_check(g, families, predicate) -> tuple[int, int] | None:
-    if not predicate(g):
-        return None
-    checked = violations = 0
-    for fam in families:
-        for mv in applicable_moves(g, fam):
-            checked += 1
-            if not predicate(mv.apply(g)):
-                violations += 1
-    return checked, violations
+def _move_check(g, moves, violates) -> tuple[int, int]:
+    """(moves checked, violations): each of ``moves`` applied to g, and how
+    many of them give a result h with ``violates(g, h)``."""
+    return len(moves), sum(violates(g, mv.apply(g)) for mv in moves)
 
 
-def _genus_contract_delete_check(g) -> tuple[int, int]:
-    checked = violations = 0
-    base = euler_genus(g)
-    for e in g.labels:
-        for result in (contract_edge(g, e), delete_edge(g, e)):
-            checked += 1
-            violations += euler_genus(result) > base
-    for c in range(g.n_vertices):
-        checked += 1
-        violations += euler_genus(delete_vertex(g, c)) > base
-    return checked, violations
-
-
-def _genus_check(g, family) -> tuple[int, int]:
-    base = euler_genus(g)
-    moves = applicable_moves(g, family)
-    return len(moves), sum(euler_genus(mv.apply(g)) > base for mv in moves)
+def _raises_genus(g, h) -> bool:
+    return euler_genus(h) > euler_genus(g)
 
 
 # Two sets of classes compared once per class, hence its rows' moves=1: the
@@ -285,25 +265,30 @@ def _genus_check(g, family) -> tuple[int, int]:
 # one dual-family move reaches from g*.  Moves are not matched one to one.
 def _transport_check(g, family, dual_family) -> tuple[int, int]:
     star = geometric_dual(g)
-    direct = {canonicalize(geometric_dual(mv.apply(g))) for mv in applicable_moves(g, family)}
-    transported = {canonicalize(mv.apply(star)) for mv in applicable_moves(star, dual_family)}
+    direct = {canonical_presentation(geometric_dual(mv.apply(g))) for mv in applicable_moves(g, family)}
+    transported = {canonical_presentation(mv.apply(star)) for mv in applicable_moves(star, dual_family)}
     return 1, int(direct != transported)
 
 
 # id -> g -> (moves checked, violations), or None when g is outside the
 # lemma's class.  Lambdas, as in CHECKS, look the predicates up when called.
 LEMMAS = {
-    "cc-closure": lambda g: _closure_check(
-        g, (MinorFamily.CHECKERBOARD, MinorFamily.EULERIAN), is_checkerboard_colourable
+    "cc-closure": lambda g: _move_check(
+        g, applicable_moves(g, MinorFamily.CHECKERBOARD) + applicable_moves(g, MinorFamily.EULERIAN),
+        lambda _, h: not is_checkerboard_colourable(h),
+    ) if is_checkerboard_colourable(g) else None,
+    "bipartite-closure": lambda g: _move_check(
+        g, applicable_moves(g, MinorFamily.BIPARTITE) + applicable_moves(g, MinorFamily.EVEN_FACE),
+        lambda _, h: not is_bipartite(h),
+    ) if is_bipartite(g) else None,
+    "genus-contract-delete": lambda g: _move_check(
+        g, [MinorMove(kind, (e,)) for e in g.labels for kind in ("contract", "delete")]
+        + [MinorMove("delete-vertex", (c,)) for c in range(g.n_vertices)], _raises_genus,
     ),
-    "bipartite-closure": lambda g: _closure_check(
-        g, (MinorFamily.BIPARTITE, MinorFamily.EVEN_FACE), is_bipartite
-    ),
-    "genus-contract-delete": _genus_contract_delete_check,
-    "genus-eulerian": lambda g: _genus_check(g, MinorFamily.EULERIAN),
+    "genus-eulerian": lambda g: _move_check(g, applicable_moves(g, MinorFamily.EULERIAN), _raises_genus),
     # empirical only: monotonicity for the checkerboard family (which also
     # allows improper contractions) is observed, not a stated law
-    "genus-cc": lambda g: _genus_check(g, MinorFamily.CHECKERBOARD),
+    "genus-cc": lambda g: _move_check(g, applicable_moves(g, MinorFamily.CHECKERBOARD), _raises_genus),
     "dual-transport-eulerian": lambda g: _transport_check(g, MinorFamily.EULERIAN, MinorFamily.EVEN_FACE),
     "dual-transport-cc": lambda g: _transport_check(g, MinorFamily.CHECKERBOARD, MinorFamily.BIPARTITE),
 }

@@ -15,6 +15,7 @@ from ribbonminor import (
     trace_boundaries,
     underlying_graph,
 )
+from ribbonminor import arrow_core
 from ribbonminor.arrow_core import _base_canonical
 from ribbonminor.verify import _augmentations
 from oracles import (
@@ -310,6 +311,26 @@ def test_canonicalize_matches_flip_loop_oracle_on_raw_words(raw3):
         rep = canonical_presentation(P(c))
         assert rep.to_text() == c
         assert flip_loop_canonicalize(rep) == c
+
+
+def test_one_canonical_table(raw3, sweep2):
+    # every member of a class gets the same representative instance, which
+    # the table maps to itself; canonicalize is that instance's text, and
+    # is_equivalent compares the same classes as the text does
+    inputs = [ArrowPresentation(circles) for circles in raw3] + list(sweep2)
+    reps = {}
+    for g in inputs:
+        rep = canonical_presentation(g)
+        assert reps.setdefault(rep.to_text(), rep) is rep, g
+        assert arrow_core._canon_cache[rep] is rep
+        assert arrow_core._canon_cache[g] is rep
+        assert canonicalize(g) == rep.to_text()
+    answers = set()
+    for g, h in zip(inputs, inputs[1:] + inputs[:1]):
+        same = is_equivalent(g, h)
+        assert same == (canonicalize(g) == canonicalize(h)), (g, h)
+        answers.add(same)
+    assert answers == {True, False}
 
 
 def test_is_equivalent_matches_brute_oracle(sweep2):

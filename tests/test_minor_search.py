@@ -206,13 +206,24 @@ def test_search_matches_capped_reference_on_small_pairs():
     _assert_matches_capped_search([(g, h) for g in small for h in small])
 
 
+def test_state_key_is_the_representative(sweep2):
+    # outside the join family a search state is known by its class's one
+    # representative instance, whichever member of the class it is given
+    for fam in (MinorFamily.EULERIAN, MinorFamily.EVEN_FACE, MinorFamily.CHECKERBOARD, MinorFamily.BIPARTITE):
+        for g in sweep2:
+            member = ArrowPresentation(g.circles[::-1])
+            rep = minor_search.canonical_presentation(g)
+            assert minor_search._state_key(member, fam) is rep, (g, fam)
+            assert minor_search._state_key(rep, fam) is rep
+
+
 def test_failed_search_is_remembered_per_state(monkeypatch):
     # an orientable ribbon graph has no non-orientable minor
     g, h = P("(a+ b+ a+ b+)(c+ c+)"), target_catalog()["nonorientable_loop"]
     fam = MinorFamily.CHECKERBOARD
     assert not contains_minor(g, h, fam)
     reached = P("(a+ b+ a+ b+)")  # g with the component of c deleted
-    key = (fam, minor_search.canonicalize(reached), frozenset([minor_search.canonicalize(h)]))
+    key = (fam, minor_search._state_key(reached, fam), frozenset([minor_search._state_key(h, fam)]))
     assert minor_search._contains_cache[key] is False
 
     def no_moves(*args):

@@ -27,6 +27,7 @@ from ribbonminor import (
     partial_dual,
     trace_boundaries,
 )
+from ribbonminor import arrow_core
 from ribbonminor.arrow_core import EdgeLineSegment, _base_canonical
 from ribbonminor.minor_search import MinorFamily, applicable_moves
 from oracles import (
@@ -96,6 +97,18 @@ def _assert_canonical_form_invariant(g: ArrowPresentation, seed: int) -> None:
         h = _random_equivalence_move(h, rng)
     assert canonicalize(h) == canonicalize(g)
     assert is_equivalent(g, h)
+    # one representative instance per class, mapped to itself, whose text
+    # canonicalize gives
+    rep = canonical_presentation(g)
+    assert canonical_presentation(h) is rep
+    assert arrow_core._canon_cache[rep] is rep
+    assert canonicalize(h) == rep.to_text()
+
+
+@settings(max_examples=60, deadline=None)
+@given(presentations(max_edges=4), presentations(max_edges=4))
+def test_is_equivalent_agrees_with_canonical_text(g, h):
+    assert is_equivalent(g, h) == (canonicalize(g) == canonicalize(h))
 
 
 @settings(max_examples=60, deadline=None)

@@ -11,13 +11,17 @@ from ribbonminor import (
     ArpError,
     ArrowPresentation,
     EnumerationSpec,
+    MinorFamily,
+    applicable_moves,
     canonicalize,
     enumerate_presentations,
+    is_bipartite,
     is_checkerboard_colourable,
     parse_arp,
     verify_lemma,
     verify_theorem,
 )
+from ribbonminor.verify import _move_check, _raises_genus
 from oracles import brute_equivalent, dedup_enumerate
 
 P = parse_arp
@@ -216,6 +220,18 @@ def test_verify_lemma_genus_small():
 def test_verify_lemma_dual_transport_small():
     assert verify_lemma("dual-transport-eulerian", EnumerationSpec(2, 4, True)).passed
     assert verify_lemma("dual-transport-cc", EnumerationSpec(2, 4, True)).passed
+
+
+def test_laws_no_lemma_id_checks():
+    # over the 591 classes of at most 4 edges: every join-family move keeps
+    # a bipartite class bipartite, and no even-face or bipartite move raises
+    # the Euler genus
+    for g in enumerate_presentations(EnumerationSpec(4)):
+        if is_bipartite(g):
+            moves = applicable_moves(g, MinorFamily.BIPARTITE_JOIN)
+            assert _move_check(g, moves, lambda _, h: not is_bipartite(h))[1] == 0, g
+        for fam in (MinorFamily.EVEN_FACE, MinorFamily.BIPARTITE):
+            assert _move_check(g, applicable_moves(g, fam), _raises_genus)[1] == 0, (g, fam)
 
 
 def test_verify_lemma_unknown_id():
