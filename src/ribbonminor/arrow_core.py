@@ -72,9 +72,15 @@ class ArrowPresentation:
     value objects: hashable, comparable, and safe to share.
 
     ``occurrences`` maps each label, in sorted order, to its two positions
-    ``(circle, index)`` in reading order.  It is built once, by the pass
-    that validates the arrows, and ``labels``, ``n_edges`` and every walk
-    read it.
+    ``(circle, index)`` in reading order.  It is built once, at
+    construction, and ``labels``, ``n_edges`` and every walk read it.
+
+    Presentations are validated once, on input from outside the program:
+    the constructor checks every arrow, then :meth:`_set` counts the
+    labels.  Move results, partial duals, canonical representatives and
+    parsed text are built by :meth:`_of`, which only counts: their arrows
+    are copied from a validated presentation, flipped, canonical, or read
+    from tokens that :func:`parse_arp` has checked.
 
     >>> ArrowPresentation([[("e", 1), ("e", -1)]]).to_text()
     '(e+ e-)'
@@ -84,31 +90,46 @@ class ArrowPresentation:
 
     def __init__(self, circles: Iterable[Iterable[Arrow]] = ()):
         circs = []
-        occ: dict[str, list[tuple[int, int]]] = {}
         circle = circ = None
         try:
-            for ci, circle in enumerate(circles):
+            for circle in circles:
                 circ = []
                 for label, sign in circle:
                     if not isinstance(label, str) or not _LABEL_RE.match(label):
                         raise ArpError(f"bad edge label {label!r}")
-                    if sign not in (1, -1):
+                    if type(sign) is not int or sign not in (1, -1):
                         raise ArpError(f"bad sign {sign!r} for label {label!r}")
-                    occ.setdefault(label, []).append((ci, len(circ)))
                     circ.append((label, sign))
                 circs.append(tuple(circ))
         except ArpError:
             raise
         except (TypeError, ValueError):
             raise ArpError(_malformed(circles, circle, circ)) from None
-        self.circles: tuple[Circle, ...] = tuple(circs)
+        self._set(tuple(circs))
+
+    @classmethod
+    def _of(cls, circles: Iterable[Circle]) -> "ArrowPresentation":
+        """A presentation of circles that are tuples of valid arrows, which
+        are not checked again; each label must still occur exactly twice."""
+        self = object.__new__(cls)
+        self._set(tuple(circles))
+        return self
+
+    def _set(self, circles: tuple[Circle, ...]) -> None:
+        """Set the circles, the ``occurrences`` table and the hash; each
+        label must occur exactly twice."""
+        occ: dict[str, list[tuple[int, int]]] = {}
+        for ci, circle in enumerate(circles):
+            for j, (label, _) in enumerate(circle):
+                occ.setdefault(label, []).append((ci, j))
+        self.circles: tuple[Circle, ...] = circles
         self.occurrences: dict[str, tuple[tuple[int, int], ...]] = {
             lab: tuple(occ[lab]) for lab in sorted(occ)
         }
         for lab, ps in self.occurrences.items():
             if len(ps) != 2:
                 raise ArpError(f"label {lab!r} occurs {len(ps)} times (exactly 2 required)")
-        self._hash = hash(self.circles)
+        self._hash = hash(circles)
 
     # -- basic views ---------------------------------------------------
 
@@ -207,7 +228,7 @@ def parse_arp(text: str) -> ArrowPresentation:
                 circles.append(_parse_tokens(group.split(), lineno))
         else:
             circles.append(_parse_tokens(line.split(), lineno))
-    return ArrowPresentation(circles)
+    return ArrowPresentation._of(circles)
 
 
 def format_arp(g: ArrowPresentation) -> str:
@@ -675,7 +696,7 @@ _canon_cache: dict[ArrowPresentation, ArrowPresentation] = {}
 def _representative(enc: tuple) -> ArrowPresentation:
     """The representative of the class whose minimal encoding (see
     :func:`_base_canonical`) is ``enc``, interned in ``_canon_cache``."""
-    rep = ArrowPresentation(tuple((_canonical_label(i), -1 if bit else 1) for i, bit in c) for c in enc)
+    rep = ArrowPresentation._of(tuple((_canonical_label(i), -1 if bit else 1) for i, bit in c) for c in enc)
     return _canon_cache.setdefault(rep, rep)
 
 

@@ -61,7 +61,7 @@ def partial_dual(g: ArrowPresentation, edges: Iterable[str]) -> ArrowPresentatio
     missing = a.difference(g.occurrences)
     if missing:  # non-strings before strings, each by its text, so that any labels compare
         raise ArpError(f"label {min(missing, key=lambda x: (isinstance(x, str), str(x)))!r} not present")
-    return ArrowPresentation(_dual_words(g, a))
+    return ArrowPresentation._of(_dual_words(g, a))
 
 
 def geometric_dual(g: ArrowPresentation) -> ArrowPresentation:

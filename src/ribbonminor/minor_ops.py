@@ -62,9 +62,7 @@ def _check_label(g: ArrowPresentation, e: str) -> None:
 def delete_edge(g: ArrowPresentation, e: str) -> ArrowPresentation:
     """Remove both arrows of e; circles are otherwise untouched."""
     _check_label(g, e)
-    return ArrowPresentation(
-        tuple(tuple(a for a in c if a[0] != e) for c in g.circles)
-    )
+    return ArrowPresentation._of(tuple(a for a in c if a[0] != e) for c in g.circles)
 
 
 def contract_edge(g: ArrowPresentation, e: str) -> ArrowPresentation:
@@ -79,9 +77,7 @@ def contract_edge(g: ArrowPresentation, e: str) -> ArrowPresentation:
     '()()'
     """
     _check_label(g, e)
-    return ArrowPresentation(
-        tuple(a for a in w if a[0] != e) for w in _dual_words(g, (e,))
-    )
+    return ArrowPresentation._of(tuple(a for a in w if a[0] != e) for w in _dual_words(g, (e,)))
 
 
 def delete_component(g: ArrowPresentation, comp: int) -> ArrowPresentation:
@@ -91,21 +87,15 @@ def delete_component(g: ArrowPresentation, comp: int) -> ArrowPresentation:
     if type(comp) is not int or not 0 <= comp < len(comps):
         raise ArpError(f"unknown component {comp!r}")
     drop = comps[comp]
-    return ArrowPresentation(
-        tuple(c for ci, c in enumerate(g.circles) if ci not in drop)
-    )
+    return ArrowPresentation._of(c for ci, c in enumerate(g.circles) if ci not in drop)
 
 
 def delete_vertex(g: ArrowPresentation, circle: int) -> ArrowPresentation:
     """Remove a circle and every edge with an occurrence on it."""
     g._check_circle(circle)
     doomed = {lab for lab, _ in g.circles[circle]}
-    return ArrowPresentation(
-        tuple(
-            tuple(a for a in c if a[0] not in doomed)
-            for ci, c in enumerate(g.circles)
-            if ci != circle
-        )
+    return ArrowPresentation._of(
+        tuple(a for a in c if a[0] not in doomed) for ci, c in enumerate(g.circles) if ci != circle
     )
 
 
@@ -260,7 +250,7 @@ def split_vertex(g: ArrowPresentation, circle: int, p: int, q: int) -> ArrowPres
     """
     if not can_split_vertex(g, circle, p, q):
         raise ArpError("dual distance is odd")
-    return ArrowPresentation(
+    return ArrowPresentation._of(
         g.circles[:circle] + _cut_circle(g.circles[circle], p, q) + g.circles[circle + 1 :]
     )
 
@@ -339,7 +329,7 @@ def split_face(g: ArrowPresentation, b: int, p: int, q: int) -> ArrowPresentatio
     else:
         arc_a, arc_b = _cut_circle(circles[ci], j, k)
         circles[ci : ci + 1] = (arc_a, arc_b) if s == t else (arc_a + _reversed(arc_b),)
-    return ArrowPresentation(circles)
+    return ArrowPresentation._of(circles)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +352,7 @@ def join_vertices(g: ArrowPresentation, c1: int, c2: int) -> ArrowPresentation:
     circles = list(g.circles)
     circles[i] = merged
     del circles[j]
-    return ArrowPresentation(circles)
+    return ArrowPresentation._of(circles)
 
 
 def is_permissible_join(g: ArrowPresentation, c1: int, c2: int) -> bool:

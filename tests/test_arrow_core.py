@@ -94,6 +94,10 @@ def test_constructor_reports_least_label_with_wrong_count():
         ("a", r"^bad arrow 'a': not a \(label, sign\) pair$"),
         (("a", 1, 2), r"^bad arrow \('a', 1, 2\): not a \(label, sign\) pair$"),
         (None, r"^bad arrow None: not a \(label, sign\) pair$"),
+        # signs are the integers 1 and -1, not values equal to them
+        (("a", True), r"^bad sign True for label 'a'$"),
+        (("a", 1.0), r"^bad sign 1\.0 for label 'a'$"),
+        (("a", -1.0), r"^bad sign -1\.0 for label 'a'$"),
     ],
 )
 def test_constructor_rejects_non_string_or_unhashable_input(arrow, message):

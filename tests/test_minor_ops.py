@@ -1,8 +1,12 @@
+from itertools import combinations
+
 import pytest
 
 from ribbonminor import (
     ArpError,
+    ArrowPresentation,
     EdgeLineSegment,
+    EnumerationSpec,
     MinorMove,
     boundary_distance,
     can_split_face,
@@ -12,6 +16,7 @@ from ribbonminor import (
     delete_edge,
     delete_vertex,
     dual_distance,
+    enumerate_presentations,
     geometric_dual,
     is_bipartite,
     is_equivalent,
@@ -21,6 +26,7 @@ from ribbonminor import (
     is_proper_deletion,
     join_vertices,
     parse_arp,
+    partial_dual,
     split_face,
     split_vertex,
     trace_boundaries,
@@ -414,3 +420,41 @@ def test_minor_move_apply_checks_parameter_count(kind):
         MinorMove(kind, short[1:]).apply(P("(a+ b+)(a+ b+)"))
     assert str(applied.value) == str(parsed.value)
     assert str(applied.value).startswith(f"move {kind!r} takes ")
+
+
+# -- unvalidated builds ----------------------------------------------------------
+
+
+def _assert_built_as_validated(h):
+    """h, built without re-checking its arrows, is what the validating
+    constructor builds from its circles, and holds only tuples of
+    (str, int) arrows with signs +-1: a float or bool sign, or a list for
+    a circle, would compare equal and go unnoticed otherwise."""
+    assert type(h.circles) is tuple and all(type(c) is tuple for c in h.circles)
+    assert all(type(a) is tuple and len(a) == 2 and type(a[0]) is str and type(a[1]) is int
+               and a[1] in (1, -1) for c in h.circles for a in c), h.circles
+    v = ArrowPresentation(h.circles)
+    assert v == h and hash(v) == hash(h) and v.occurrences == h.occurrences
+
+
+def test_internal_builds_match_the_validating_constructor():
+    # every move result of the five families on the classes of <=3 edges,
+    # connected or not, and on the connected classes of <=4 edges; every
+    # partial dual of the <=3-edge classes; every enumerated representative
+    small = enumerate_presentations(EnumerationSpec(3, connected_only=False))
+    reps = enumerate_presentations(EnumerationSpec(4))
+    n_moves = 0
+    for g in small + reps:
+        for family in MinorFamily:
+            for move in applicable_moves(g, family):
+                _assert_built_as_validated(move.apply(g))
+                n_moves += 1
+    n_duals = 0
+    for g in small:
+        for k in range(1, g.n_edges + 1):
+            for a in combinations(g.labels, k):
+                _assert_built_as_validated(partial_dual(g, a))
+                n_duals += 1
+    for g in reps:
+        _assert_built_as_validated(g)
+    assert (len(small), len(reps), n_moves, n_duals) == (349, 591, 79428, 2141)
