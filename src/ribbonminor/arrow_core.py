@@ -15,7 +15,6 @@ forms / equivalence testing.
 from __future__ import annotations
 
 import re
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Container, Iterable, NamedTuple, Union
@@ -430,29 +429,17 @@ class UnderlyingGraph:
 
     def components(self) -> tuple[frozenset[int], ...]:
         """Connected components as vertex sets, sorted by smallest member."""
-        parent = list(range(self.n_vertices))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for _, u, w in self.edges:
-            ru, rw = find(u), find(w)
-            if ru != rw:
-                parent[ru] = rw
-        groups: dict[int, set[int]] = defaultdict(set)
-        for v in range(self.n_vertices):
-            groups[find(v)].add(v)
-        return tuple(sorted((frozenset(s) for s in groups.values()), key=min))
+        return tuple(map(frozenset, _traverse(self.n_vertices, self._pairs())[0]))
 
     def is_connected(self) -> bool:
         return len(self.components()) <= 1
 
     def has_odd_cycle(self) -> bool:
         """Odd-cycle test by 2-colouring; any loop counts as an odd cycle."""
-        return _two_colouring(self.n_vertices, [(u, w) for _, u, w in self.edges]) is None
+        return _traverse(self.n_vertices, self._pairs())[1] is None
+
+    def _pairs(self) -> list[tuple[int, int]]:
+        return [(u, w) for _, u, w in self.edges]
 
     def canonical_key(self) -> tuple:
         """Isomorphism-class key: minimal relabelled edge multiset.
@@ -464,7 +451,7 @@ class UnderlyingGraph:
 
         if self.n_vertices > MAX_KEY_VERTICES:
             raise ValueError(f"canonical_key supports at most {MAX_KEY_VERTICES} vertices")
-        pairs = [(u, w) for _, u, w in self.edges]
+        pairs = self._pairs()
         best = None
         for perm in permutations(range(self.n_vertices)):
             cand = tuple(sorted((min(perm[u], perm[w]), max(perm[u], perm[w])) for u, w in pairs))
@@ -473,30 +460,37 @@ class UnderlyingGraph:
         return (self.n_vertices, best if best is not None else ())
 
 
-def _two_colouring(n: int, pairs: Iterable[tuple[int, int]]) -> dict[int, int] | None:
-    """A 0/1 colouring of vertices 0..n-1 giving the two ends of every pair
-    different colours, or None when there is none (a pair (v, v) rules it
-    out).  Each uncoloured vertex in turn gets colour 0, then a depth-first
-    search colours its component."""
+def _traverse(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[list[int]], dict[int, int] | None]:
+    """One breadth-first pass over vertices 0..n-1 joined by ``pairs``.
+
+    Returns the connected components, each a list of its vertices in the
+    order reached, in order of least vertex; and the 0/1 colouring giving
+    the two ends of every pair different colours, with colour 0 on each
+    component's least vertex, or None when there is none (a pair (v, v)
+    rules it out).  Such a colouring is unique when it exists.
+    """
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, w in pairs:
         adj[u].append(w)
         adj[w].append(u)
-    colour: dict[int, int] = {}
+    colour = [-1] * n
+    comps = []
+    proper = True
     for start in range(n):
-        if start in colour:
+        if colour[start] >= 0:
             continue
         colour[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
+        comp = [start]
+        for v in comp:  # grows while it is read
+            c = colour[v] ^ 1
             for w in adj[v]:
-                if w not in colour:
-                    colour[w] = colour[v] ^ 1
-                    stack.append(w)
-                elif colour[w] == colour[v]:
-                    return None
-    return colour
+                if colour[w] < 0:
+                    colour[w] = c
+                    comp.append(w)
+                elif colour[w] != c:
+                    proper = False
+        comps.append(comp)
+    return comps, dict(enumerate(colour)) if proper else None
 
 
 @lru_cache(maxsize=None)
@@ -602,19 +596,10 @@ def _base_canonical(circles: tuple[Circle, ...]) -> tuple:
         for j, (lab, s) in enumerate(c):
             where.setdefault(lab, []).append((ci, j, s))
     rev = list(map(_reversed, circles))
-    placed = [False] * len(circles)
     comps = []
-    for c0, circle in enumerate(circles):
-        if placed[c0] or not circle:
+    for comp in _traverse(len(circles), ((a[0], b[0]) for a, b in where.values()))[0]:
+        if not circles[comp[0]]:
             continue
-        placed[c0] = True
-        comp = [c0]
-        for ci in comp:  # grows while it is read: a breadth-first search
-            for lab, _ in circles[ci]:
-                for cj, _, _ in where[lab]:
-                    if not placed[cj]:
-                        placed[cj] = True
-                        comp.append(cj)
         best = None
         for ci in comp:
             n = len(circles[ci])
@@ -688,16 +673,20 @@ def _canonical_label(i: int) -> str:
     return out
 
 
-#: The representative of every presentation canonicalised so far: one
-#: shared instance per class, which maps to itself.
-_canon_cache: dict[ArrowPresentation, ArrowPresentation] = {}
+#: The circles of every presentation canonicalised so far, mapped to its
+#: class's representative: one shared instance per class, whose circles map
+#: to itself.
+_canon_cache: dict[tuple[Circle, ...], ArrowPresentation] = {}
 
 
 def _representative(enc: tuple) -> ArrowPresentation:
     """The representative of the class whose minimal encoding (see
     :func:`_base_canonical`) is ``enc``, interned in ``_canon_cache``."""
-    rep = ArrowPresentation._of(tuple((_canonical_label(i), -1 if bit else 1) for i, bit in c) for c in enc)
-    return _canon_cache.setdefault(rep, rep)
+    circles = tuple(tuple((_canonical_label(i), -1 if bit else 1) for i, bit in c) for c in enc)
+    rep = _canon_cache.get(circles)
+    if rep is None:
+        rep = _canon_cache[circles] = ArrowPresentation._of(circles)
+    return rep
 
 
 def canonical_presentation(g: ArrowPresentation) -> ArrowPresentation:
@@ -708,9 +697,9 @@ def canonical_presentation(g: ArrowPresentation) -> ArrowPresentation:
     >>> canonical_presentation(parse_arp("(e+ e-)")) is canonical_presentation(parse_arp("(f- f+)"))
     True
     """
-    rep = _canon_cache.get(g)
+    rep = _canon_cache.get(g.circles)
     if rep is None:
-        rep = _canon_cache[g] = _representative(_base_canonical(g.circles))
+        rep = _canon_cache[g.circles] = _representative(_base_canonical(g.circles))
     return rep
 
 

@@ -258,10 +258,9 @@ def minor_witness(g: ArrowPresentation, h: ArrowPresentation, family: MinorFamil
     below_h, strays = _pruning([h], family)
     seen = {start_key}
     parents: dict = {}
-    queue = deque([] if below_h(start) else [start])
+    queue = deque([] if below_h(start) else [(start, start_key)])
     while queue:
-        state = queue.popleft()
-        skey = _state_key(state, family)
+        state, skey = queue.popleft()
         for mv, nxt in _successors(state, family):
             if below_h(nxt) or strays(state, nxt):
                 continue
@@ -276,7 +275,7 @@ def minor_witness(g: ArrowPresentation, h: ArrowPresentation, family: MinorFamil
                     nkey, mv = parents[nkey]
                     moves.append(mv)
                 return moves[::-1]
-            queue.append(nxt)
+            queue.append((nxt, nkey))
     return None
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .arrow_core import (
     ArrowPresentation,
-    _two_colouring,
+    _traverse,
     euler_genus,
     trace_boundaries,
     underlying_graph,
@@ -44,13 +44,15 @@ def checkerboard_colouring(g: ArrowPresentation) -> dict[int, int] | None:
 
     Each edge constrains the components holding its two sides to differ, so
     this is 2-colourability of the constraint multigraph on components; an
-    edge with both sides on one component rules a colouring out.
+    edge with both sides on one component rules a colouring out.  The least
+    boundary index of each component of the constraint multigraph gets
+    colour 0, which makes the colouring unique.
     """
     boundaries = trace_boundaries(g)
     # the edge line segments of a walk are its odd positions
     where = {seg: bi for bi, b in enumerate(boundaries) for seg in b.segments[1::2]}
     pairs = [(where[(lab, 1)], where[(lab, 2)]) for lab in g.labels]
-    return _two_colouring(len(boundaries), pairs)
+    return _traverse(len(boundaries), pairs)[1]
 
 
 def is_checkerboard_colourable(g: ArrowPresentation) -> bool:

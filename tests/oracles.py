@@ -150,6 +150,15 @@ def nx_is_bipartite(g) -> bool:
     return nx.is_bipartite(graph)
 
 
+def nx_components(g) -> tuple[frozenset[int], ...]:
+    """The components of the underlying multigraph, isolated circles
+    included, by networkx, sorted by least circle."""
+    graph = nx.MultiGraph()
+    graph.add_nodes_from(range(g.n_vertices))
+    graph.add_edges_from(_label_circles(g).values())
+    return tuple(sorted(map(frozenset, nx.connected_components(graph)), key=min))
+
+
 def nx_same_underlying_graph(g, h) -> bool:
     """Whether the underlying multigraphs of g and h, loops and isolated
     vertices included, are isomorphic by networkx."""

@@ -147,6 +147,32 @@ def test_contains_minor_join_family_uses_abstract_graphs():
     assert contains_minor(triangle, P("(e+ e+)"), MinorFamily.BIPARTITE_JOIN)
 
 
+def test_join_witness_keys_each_state_once(monkeypatch):
+    # a join-family state key is a brute-force graph key, so the search
+    # keys a state once, when it is reached, and not again when it is
+    # expanded: each expanded state is keyed at most as often as it was
+    # reached (the start once, before the search begins)
+    from collections import Counter
+
+    from ribbonminor.arrow_core import UnderlyingGraph
+
+    fam = MinorFamily.BIPARTITE_JOIN
+    g, h = P("(a+ e+)(a+ b+)(b+ c+)(c+ d+)(d+ e+)"), P("(e+ e-)")
+    keyed, expanded = Counter(), []
+    key, successors = UnderlyingGraph.canonical_key, minor_search._successors
+    monkeypatch.setattr(UnderlyingGraph, "canonical_key", lambda ug: keyed.update([ug]) or key(ug))
+    monkeypatch.setattr(minor_search, "_successors", lambda s, f: expanded.append(s) or successors(s, f))
+    moves = minor_witness(g, h, fam)
+    assert _same_state(replay_witness(g, moves), h, fam)
+    below, strays = minor_search._pruning([h], fam)
+    reached = Counter([underlying_graph(expanded[0])])
+    for s in expanded:
+        reached.update(underlying_graph(n) for _, n in successors(s, fam) if not (below(n) or strays(s, n)))
+    assert len(expanded) > 3
+    for s in expanded:
+        assert keyed[underlying_graph(s)] <= reached[underlying_graph(s)], s
+
+
 def test_contains_minor_with_isolated_start():
     # a start owning more isolated vertices than the target must still reduce
     g = P("(e+ e+)()()()")

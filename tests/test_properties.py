@@ -2,6 +2,7 @@
 
 import random
 
+import networkx as nx
 from hypothesis import given, settings, strategies as st
 
 from ribbonminor import (
@@ -11,6 +12,7 @@ from ribbonminor import (
     can_split_face,
     canonical_presentation,
     canonicalize,
+    checkerboard_colouring,
     contract_edge,
     delete_edge,
     enumerate_presentations,
@@ -26,6 +28,7 @@ from ribbonminor import (
     parse_arp,
     partial_dual,
     trace_boundaries,
+    underlying_graph,
 )
 from ribbonminor import arrow_core
 from ribbonminor.arrow_core import EdgeLineSegment, _base_canonical
@@ -41,6 +44,7 @@ from oracles import (
     endpoint_trace_boundaries,
     flip_loop_canonicalize,
     is_proper_deletion_direct,
+    nx_components,
     nx_is_bipartite,
     nx_is_checkerboard_colourable,
     search_base_canonical,
@@ -101,7 +105,7 @@ def _assert_canonical_form_invariant(g: ArrowPresentation, seed: int) -> None:
     # canonicalize gives
     rep = canonical_presentation(g)
     assert canonical_presentation(h) is rep
-    assert arrow_core._canon_cache[rep] is rep
+    assert arrow_core._canon_cache[rep.circles] is rep
     assert canonicalize(h) == rep.to_text()
 
 
@@ -259,6 +263,27 @@ def test_boundary_walk_matches_endpoint_walk_oracles_up_to_12_edges(g, seed):
 def test_two_colourings_match_networkx(g):
     assert is_bipartite(g) == nx_is_bipartite(g)
     assert is_checkerboard_colourable(g) == nx_is_checkerboard_colourable(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(presentations(max_edges=8, max_circles=6), repeated_components()))
+def test_traversal_matches_networkx(g):
+    # the components of the underlying graph, isolated circles included,
+    # and the face 2-colouring: colour 0 on the least face of each
+    # component of the face-constraint graph, opposite colours across
+    # every edge
+    assert underlying_graph(g).components() == nx_components(g)
+    colour = checkerboard_colouring(g)
+    if colour is None:
+        return
+    boundaries = trace_boundaries(g)
+    face = {seg: bi for bi, b in enumerate(boundaries) for seg in b.segments}
+    sides = [(face[EdgeLineSegment(lab, 1)], face[EdgeLineSegment(lab, 2)]) for lab in g.labels]
+    graph = nx.MultiGraph(sides)
+    graph.add_nodes_from(range(len(boundaries)))
+    assert sorted(colour) == list(range(len(boundaries)))
+    assert all(colour[min(comp)] == 0 for comp in nx.connected_components(graph))
+    assert all(colour[u] != colour[w] for u, w in sides)
 
 
 @settings(max_examples=100, deadline=None)

@@ -268,11 +268,11 @@ def test_four_edge_pins_name_every_check():
     assert all(len(d) == 64 and int(d, 16) >= 0 for d in pins.values())
 
 
-def test_disconnected_three_edge_pins_name_every_theorem_check():
-    from ribbonminor import CHECKS
+def test_disconnected_three_edge_pins_name_every_check():
+    from ribbonminor import CHECKS, LEMMAS
 
     pins = _pins("verify_e3_disconnected.sha256")
-    assert list(pins) == list(CHECKS)
+    assert list(pins) == [*CHECKS, *LEMMAS]
     assert all(len(d) == 64 and int(d, 16) >= 0 for d in pins.values())
 
 
@@ -290,3 +290,14 @@ def test_theorem_reports_match_disconnected_three_edge_pins(check_id):
     # carry isolated circles; CI compares the same reports from cold CLI runs
     text = verify_theorem(check_id, EnumerationSpec(3, connected_only=False)).to_text()
     assert hashlib.sha256(text.encode()).hexdigest() == _pins("verify_e3_disconnected.sha256")[check_id]
+
+
+@pytest.mark.parametrize("lemma_id", [
+    "cc-closure", "bipartite-closure", "genus-contract-delete", "genus-eulerian", "genus-cc",
+    "dual-transport-eulerian", "dual-transport-cc",
+])
+def test_lemma_reports_match_disconnected_three_edge_pins(lemma_id):
+    # on disconnected classes the lemmas read components: the component
+    # count of the Euler genus, and the component deletions
+    text = verify_lemma(lemma_id, EnumerationSpec(3, connected_only=False)).to_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == _pins("verify_e3_disconnected.sha256")[lemma_id]
