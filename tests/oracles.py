@@ -59,7 +59,6 @@ from ribbonminor.minor_search import (
     MinorFamily,
     _isolated_count,
     _state_key,
-    _successors,
     applicable_moves,
 )
 
@@ -800,7 +799,21 @@ def is_trivial_loop(g: ArrowPresentation, e: str) -> bool:
 # The minor search as first written, with start-dependent caps on the vertex
 # count (vcap) and on isolated circles (isocap), and a flag choosing between
 # a boolean and a witness.  The library's single search must agree with it
-# on containment and witness lengths.
+# on containment and witness lengths.  It builds every successor's
+# representative itself, in a memo of its own, so it shares no table with
+# the library's searches.
+
+_oracle_successors: dict[tuple[ArrowPresentation, MinorFamily], tuple] = {}
+
+
+def _canonical_successors(g: ArrowPresentation, family: MinorFamily):
+    """(move, canonical successor) pairs in applicable_moves order, memoised."""
+    key = (g, family)
+    got = _oracle_successors.get(key)
+    if got is None:
+        got = _oracle_successors[key] = tuple(
+            (mv, canonical_presentation(mv.apply(g))) for mv in applicable_moves(g, family))
+    return got
 
 
 def capped_minor_search(g: ArrowPresentation, h: ArrowPresentation, family: MinorFamily, want_witness: bool):
@@ -837,7 +850,7 @@ def capped_minor_search(g: ArrowPresentation, h: ArrowPresentation, family: Mino
     while queue:
         state = queue.popleft()
         skey = _state_key(state, family)
-        for mv, nxt in _successors(state, family):
+        for mv, nxt in _canonical_successors(state, family):
             if pruned(nxt):
                 continue
             nkey = _state_key(nxt, family)

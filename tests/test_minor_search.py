@@ -161,16 +161,76 @@ def test_join_witness_keys_each_state_once(monkeypatch):
     keyed, expanded = Counter(), []
     key, successors = UnderlyingGraph.canonical_key, minor_search._successors
     monkeypatch.setattr(UnderlyingGraph, "canonical_key", lambda ug: keyed.update([ug]) or key(ug))
-    monkeypatch.setattr(minor_search, "_successors", lambda s, f: expanded.append(s) or successors(s, f))
+    monkeypatch.setattr(minor_search, "_successors",
+                        lambda s, f, strays: expanded.append(s) or successors(s, f, strays))
     moves = minor_witness(g, h, fam)
     assert _same_state(replay_witness(g, moves), h, fam)
     below, strays = minor_search._pruning([h], fam)
     reached = Counter([underlying_graph(expanded[0])])
     for s in expanded:
-        reached.update(underlying_graph(n) for _, n in successors(s, fam) if not (below(n) or strays(s, n)))
+        rows = minor_search._successor_cache[(s, fam)]
+        kept = (minor_search.canonical_presentation(mv.apply(s))
+                for mv, edges, isolated, _ in rows if not strays(s, edges, isolated))
+        reached.update(underlying_graph(n) for n in kept if not below(n))
     assert len(expanded) > 3
     for s in expanded:
         assert keyed[underlying_graph(s)] <= reached[underlying_graph(s)], s
+
+
+def test_pruned_successors_are_never_canonicalised(monkeypatch):
+    # both searches give canonical_presentation only a move result that
+    # keeps at least as many edges as some target and, when it keeps its
+    # parent's edge count, does not take the isolated-circle count further
+    # from the targets'; a pruned move's row in the successor table keeps
+    # None for its representative
+    from ribbonminor.minor_ops import MinorMove
+
+    iso = minor_search._isolated_count
+    monkeypatch.setattr(minor_search, "_successor_cache", {})
+    monkeypatch.setattr(minor_search, "_contains_cache", {})
+    parents, given = {}, []
+    apply, canon = MinorMove.apply, minor_search.canonical_presentation
+
+    def recording_apply(mv, g):
+        out = apply(mv, g)
+        parents[id(out)] = (out, g)
+        return out
+
+    monkeypatch.setattr(MinorMove, "apply", recording_apply)
+    monkeypatch.setattr(minor_search, "canonical_presentation", lambda g: given.append(g) or canon(g))
+    cat = target_catalog()
+    cases = [
+        (P("(a+ b+ c+ d+ a+ b+ c+ d+)"), [cat["triple_interleaved_loops"]], MinorFamily.CHECKERBOARD),
+        (P("(a+ b+)(a+ c+)(b+ d+)(c+ d+)"),
+         [cat["single_edge"], cat["twisted_interleaved_loops"], cat["triple_interleaved_loops"]],
+         MinorFamily.EULERIAN),
+    ]
+    for g, targets, fam in cases:
+        parents.clear()
+        given.clear()
+        if len(targets) == 1:
+            assert minor_witness(g, targets[0], fam) is not None
+        else:
+            assert not minor_search._reaches_any(g, fam, targets)
+        emin, (iso_t,) = min(t.n_edges for t in targets), {iso(t) for t in targets}
+
+        def pruned(parent, out):
+            return out.n_edges < emin or (out.n_edges == parent.n_edges
+                                          and abs(iso(out) - iso_t) > abs(iso(parent) - iso_t))
+
+        dropped = [out for out, parent in parents.values() if pruned(parent, out)]
+        assert any(out.n_edges < emin for out in dropped)
+        assert any(out.n_edges >= emin for out in dropped)
+        for x in given:
+            out, parent = parents.get(id(x), (None, None))
+            if out is x:
+                assert not pruned(parent, x), (parent, x)
+    # the rows of the first case's searches, against its one target
+    _, strays = minor_search._pruning(cases[0][1], cases[0][2])
+    rows = [(state, row) for (state, _), got in minor_search._successor_cache.items() for row in got]
+    assert any(strays(state, edges, isolated) for state, (_, edges, isolated, _) in rows)
+    for state, (mv, edges, isolated, rep) in rows:
+        assert (rep is None) or not strays(state, edges, isolated), (state, mv)
 
 
 def test_contains_minor_with_isolated_start():
