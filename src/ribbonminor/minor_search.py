@@ -20,10 +20,13 @@ included, is the pass on its catalog list.  :func:`minor_witness` only
 builds shortest witnesses, by breadth-first search; the pruning rule both
 share is proved there, and the pass's termination in :func:`_reaches_any`.
 
-Both searches test a move's raw result before they canonicalise it: the
-``strays`` test of :func:`_pruning` reads only the edge count and the
-isolated-circle count, which every presentation of a class shares, so a
-result it drops is never given to :func:`canonical_presentation`.
+Both searches take a state's successors from one lazy stream,
+:func:`_successors`, which builds them one move at a time and keeps
+nothing between queries.  It tests a move's raw result before it
+canonicalises it: the ``strays`` test of :func:`_pruning` reads only the
+edge count and the isolated-circle count, which every presentation of a
+class shares, so a result it drops is never given to
+:func:`canonical_presentation`.
 """
 
 from __future__ import annotations
@@ -155,36 +158,23 @@ def applicable_moves(g: ArrowPresentation, family: MinorFamily) -> tuple[MinorMo
 # containment search
 # ---------------------------------------------------------------------------
 
-_successor_cache: dict[tuple[ArrowPresentation, MinorFamily], tuple] = {}
+#: Always empty: no search keeps successors between queries; the name stays
+#: while bench/child.py reads its len().
+_successor_cache: dict = {}
 
 
-def _successors(g: ArrowPresentation, family: MinorFamily, strays):
-    """The moves of g that ``strays`` keeps, with their results'
-    representatives, in :func:`applicable_moves` order.
-
-    The table behind them is shared across searches: one row
-    ``[move, edges, isolated circles, representative]`` per move of g, the
-    counts read off the move's result, which is then dropped.  Only a kept
-    move's result is canonicalised, so a row another search pruned holds
-    None; when a later search keeps it, the move is applied again, to the
-    same representative g, and the slot filled.
-    """
-    key = (g, family)
-    rows = _successor_cache.get(key)
-    if rows is None:
-        rows = []
-        for mv in applicable_moves(g, family):
-            nxt = mv.apply(g)
-            edges, isolated = nxt.n_edges, _isolated_count(nxt)
-            rep = None if strays(g, edges, isolated) else canonical_presentation(nxt)
-            rows.append([mv, edges, isolated, rep])
-        rows = _successor_cache[key] = tuple(rows)
-    for row in rows:
-        mv, edges, isolated, rep = row
-        if not strays(g, edges, isolated):
-            if rep is None:
-                rep = row[3] = canonical_presentation(mv.apply(g))
-            yield mv, rep
+def _successors(g: ArrowPresentation, family: MinorFamily, below, strays):
+    """The moves of g that the two tests of :func:`_pruning` keep, with
+    their results' representatives, in :func:`applicable_moves` order and
+    built one at a time as the search asks.  ``strays`` reads a move's raw
+    result, which is canonicalised only if it passes; ``below`` reads the
+    representative."""
+    for mv in applicable_moves(g, family):
+        nxt = mv.apply(g)
+        if not strays(g, nxt.n_edges, _isolated_count(nxt)):
+            nxt = canonical_presentation(nxt)
+            if not below(nxt):
+                yield mv, nxt
 
 
 def _isolated_count(g: ArrowPresentation) -> int:
@@ -218,12 +208,12 @@ def _pruning(targets, family: MinorFamily):
     invariants of the class: circle permutation, rotation and reversal,
     edge relabelling and flipping an edge's arrows keep the number of
     labels and of empty circles.  So it answers as the result's
-    representative would, and the searches canonicalise only a result that
-    passes it.  ``below`` reads the representative, since ``euler_genus``
-    is an unbounded cache: called on raw results, it and the caches under
-    it fill with entries never looked up again (with the verify limit
-    raised, a cold ``verify T1 --max-edges 5`` took 6.4 s and 111 MB
-    peak RSS that way, against 4.6 s and 66 MB, on a 2-core host)."""
+    representative would, and :func:`_successors` canonicalises only a
+    result that passes it.  ``below`` reads the representative, since
+    ``euler_genus`` is an unbounded cache: called on raw results, it and
+    the caches under it fill with entries never looked up again (with the
+    verify limit raised, a cold ``verify T1 --max-edges 5`` took 6.4 s and
+    111 MB peak RSS that way, against 4.6 s and 66 MB, on a 2-core host)."""
     counts = {_isolated_count(t) for t in targets}
     if len(counts) != 1:
         raise RuntimeError("the search needs targets that share one isolated-circle count")
@@ -265,9 +255,10 @@ def minor_witness(g: ArrowPresentation, h: ArrowPresentation, family: MinorFamil
     in the Eulerian family (no move adds an edge, and Eulerian moves never
     raise the genus).  A successor is also skipped when its move keeps the
     edge count and takes the number of isolated circles further from h's.
-    :func:`_successors` runs the edge and isolated-circle tests on each
-    move's raw result and canonicalises only a result that passes them;
-    the genus test then reads the representative.
+    Successors come from :func:`_successors`, which runs the edge and
+    isolated-circle tests on each move's raw result, canonicalises only a
+    result that passes them and then reads the genus test off the
+    representative.
 
     The isolated-circle rule is sound and keeps the search finite:
 
@@ -298,9 +289,7 @@ def minor_witness(g: ArrowPresentation, h: ArrowPresentation, family: MinorFamil
     queue = deque([] if below_h(start) else [(start, start_key)])
     while queue:
         state, skey = queue.popleft()
-        for mv, nxt in _successors(state, family, strays):
-            if below_h(nxt):
-                continue
+        for mv, nxt in _successors(state, family, below_h, strays):
             nkey = _state_key(nxt, family)
             if nkey in seen:
                 continue
@@ -384,15 +373,14 @@ def _reaches_any(g: ArrowPresentation, family: MinorFamily, targets) -> bool:
     join family); the targets must share one isolated-circle count I_t.
 
     One depth-first pass over state keys (:func:`_state_key`), with an
-    explicit stack.  A state in the list reaches.  Otherwise its moves are
-    applied one at a time, in :func:`applicable_moves` order, and the state
-    reaches as soon as one of its successors does; so when a successor
-    reaches, every state on the stack does.  A move whose raw result has
-    fewer edges than every target, or keeps the edge count and takes the
-    isolated-circle count further from I_t, is skipped before the result is
-    canonicalised: the ``strays`` test of :func:`_pruning`.  Only then is
-    the successor ``canonical_presentation(mv.apply(s))`` built, and one
-    below every target (the ``below`` test) does not reach.
+    explicit stack of :func:`_successors` streams.  A state in the list
+    reaches.  Otherwise its successors are built one at a time, in
+    :func:`applicable_moves` order, and the state reaches as soon as one of
+    them does; so when a successor reaches, every state on the stack does.
+    The stream skips a move whose raw result has fewer edges than every
+    target, or keeps the edge count and takes the isolated-circle count
+    further from I_t, before canonicalising it (``strays``), and a
+    representative below every target (``below``), which does not reach.
     Every answer goes into ``_contains_cache`` under ``(family, state key,
     frozenset of the target keys)``, the same answer for every start.
 
@@ -431,37 +419,31 @@ def _reaches_any(g: ArrowPresentation, family: MinorFamily, targets) -> bool:
     below, strays = _pruning(targets, family)
     keys = frozenset(_state_key(t, family) for t in targets)
 
-    def known(s: ArrowPresentation, key) -> bool | None:
-        if key in keys:
-            return True
-        if below(s):
-            return False
-        return _contains_cache.get((family, key, keys))
+    def known(key) -> bool | None:
+        return True if key in keys else _contains_cache.get((family, key, keys))
 
     start = canonical_presentation(g)
     start_key = _state_key(start, family)
-    got = known(start, start_key)
+    # no target is below the targets, so a start below them is not one;
+    # _successors drops every other state below them
+    got = False if below(start) else known(start_key)
     if got is not None:
         return got
-    stack = [(start, start_key, iter(applicable_moves(start, family)))]
+    stack = [(start_key, _successors(start, family, below, strays))]
     on_stack = {start_key}
     while stack:
-        state, key, moves = stack[-1]
-        for mv in moves:
-            nxt = mv.apply(state)
-            if strays(state, nxt.n_edges, _isolated_count(nxt)):
-                continue
-            nxt = canonical_presentation(nxt)
+        key, successors = stack[-1]
+        for mv, nxt in successors:
             nkey = _state_key(nxt, family)
             if nkey in on_stack:
                 raise RuntimeError(f"the reach pass met {nkey} again by {mv} from {key}")
-            got = known(nxt, nkey)
+            got = known(nkey)
             if got is None:
-                stack.append((nxt, nkey, iter(applicable_moves(nxt, family))))
+                stack.append((nkey, _successors(nxt, family, below, strays)))
                 on_stack.add(nkey)
                 break
             if got:
-                for _, k, _ in stack:
+                for k, _ in stack:
                     _contains_cache[(family, k, keys)] = True
                 return True
         else:

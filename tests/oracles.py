@@ -798,10 +798,12 @@ def is_trivial_loop(g: ArrowPresentation, e: str) -> bool:
 
 # The minor search as first written, with start-dependent caps on the vertex
 # count (vcap) and on isolated circles (isocap), and a flag choosing between
-# a boolean and a witness.  The library's single search must agree with it
-# on containment and witness lengths.  It builds every successor's
-# representative itself, in a memo of its own, so it shares no table with
-# the library's searches.
+# a boolean and a witness.  The library's breadth-first search must agree
+# with it on containment and witness lengths, and the reach pass on
+# containment.
+# The library keeps no successors between queries; this reference memoises
+# every successor's representative in a table of its own, so the tests that
+# compare the reach pass with it over thousands of queries stay fast.
 
 _oracle_successors: dict[tuple[ArrowPresentation, MinorFamily], tuple] = {}
 

@@ -151,27 +151,28 @@ def test_join_witness_keys_each_state_once(monkeypatch):
     # a join-family state key is a brute-force graph key, so the search
     # keys a state once, when it is reached, and not again when it is
     # expanded: each expanded state is keyed at most as often as it was
-    # reached (the start once, before the search begins)
+    # reached (the start once, before the search begins, and every other
+    # state each time a successor stream yields it)
     from collections import Counter
 
     from ribbonminor.arrow_core import UnderlyingGraph
 
     fam = MinorFamily.BIPARTITE_JOIN
     g, h = P("(a+ e+)(a+ b+)(b+ c+)(c+ d+)(d+ e+)"), P("(e+ e-)")
-    keyed, expanded = Counter(), []
+    keyed, reached, expanded = Counter(), Counter(), []
     key, successors = UnderlyingGraph.canonical_key, minor_search._successors
+
+    def recording(s, f, below, strays):
+        expanded.append(s)
+        for mv, nxt in successors(s, f, below, strays):
+            reached.update([underlying_graph(nxt)])
+            yield mv, nxt
+
     monkeypatch.setattr(UnderlyingGraph, "canonical_key", lambda ug: keyed.update([ug]) or key(ug))
-    monkeypatch.setattr(minor_search, "_successors",
-                        lambda s, f, strays: expanded.append(s) or successors(s, f, strays))
+    monkeypatch.setattr(minor_search, "_successors", recording)
     moves = minor_witness(g, h, fam)
     assert _same_state(replay_witness(g, moves), h, fam)
-    below, strays = minor_search._pruning([h], fam)
-    reached = Counter([underlying_graph(expanded[0])])
-    for s in expanded:
-        rows = minor_search._successor_cache[(s, fam)]
-        kept = (minor_search.canonical_presentation(mv.apply(s))
-                for mv, edges, isolated, _ in rows if not strays(s, edges, isolated))
-        reached.update(underlying_graph(n) for n in kept if not below(n))
+    reached.update([underlying_graph(expanded[0])])
     assert len(expanded) > 3
     for s in expanded:
         assert keyed[underlying_graph(s)] <= reached[underlying_graph(s)], s
@@ -181,12 +182,10 @@ def test_pruned_successors_are_never_canonicalised(monkeypatch):
     # both searches give canonical_presentation only a move result that
     # keeps at least as many edges as some target and, when it keeps its
     # parent's edge count, does not take the isolated-circle count further
-    # from the targets'; a pruned move's row in the successor table keeps
-    # None for its representative
+    # from the targets'
     from ribbonminor.minor_ops import MinorMove
 
     iso = minor_search._isolated_count
-    monkeypatch.setattr(minor_search, "_successor_cache", {})
     monkeypatch.setattr(minor_search, "_contains_cache", {})
     parents, given = {}, []
     apply, canon = MinorMove.apply, minor_search.canonical_presentation
@@ -225,12 +224,6 @@ def test_pruned_successors_are_never_canonicalised(monkeypatch):
             out, parent = parents.get(id(x), (None, None))
             if out is x:
                 assert not pruned(parent, x), (parent, x)
-    # the rows of the first case's searches, against its one target
-    _, strays = minor_search._pruning(cases[0][1], cases[0][2])
-    rows = [(state, row) for (state, _), got in minor_search._successor_cache.items() for row in got]
-    assert any(strays(state, edges, isolated) for state, (_, edges, isolated, _) in rows)
-    for state, (mv, edges, isolated, rep) in rows:
-        assert (rep is None) or not strays(state, edges, isolated), (state, mv)
 
 
 def test_contains_minor_with_isolated_start():
@@ -319,13 +312,16 @@ def test_failed_search_is_remembered_per_state(monkeypatch):
     assert not contains_minor(reached, h, fam)
 
 
-def test_start_below_target_is_not_expanded():
-    # fewer edges than the target, so no move of any family can reach it;
-    # five edges, so no other test expands g
+def test_start_below_target_is_not_expanded(monkeypatch):
+    # fewer edges than the target, so no move of any family can reach it,
+    # and the search lists no move of g
+    def no_moves(*args):
+        raise AssertionError("a start below the target was expanded")
+
+    monkeypatch.setattr(minor_search, "applicable_moves", no_moves)
     g, h = P("(a+ b+ c+ d+ e+ a+ b+ c+ d+ e+)"), P("(a+ b+ c+ d+ e+ f+ a+ b+ c+ d+ e+ f+)")
     for fam in MinorFamily:
         assert minor_witness(g, h, fam) is None
-        assert (minor_search.canonical_presentation(g), fam) not in minor_search._successor_cache
 
 
 def test_witness_replay(sweep2):
@@ -588,10 +584,13 @@ def test_shortest_witnesses_are_pinned(sweep3, reach_lists):
 
 
 def _assert_reach_pass_matches_search(starts, lists):
-    """The reach pass answers what the breadth-first witness search does."""
+    """The reach pass answers what the capped reference search does, which
+    memoises successors of its own across queries;
+    test_search_matches_capped_reference_on_catalog_targets ties that
+    reference to minor_witness."""
     for fam, targets in lists:
         for g in starts:
-            want = any(minor_witness(g, t, fam) is not None for t in targets)
+            want = any(capped_minor_search(g, t, fam, want_witness=False) for t in targets)
             assert minor_search._reaches_any(g, fam, targets) == want, (g, fam, targets)
 
 

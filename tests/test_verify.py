@@ -202,6 +202,29 @@ def test_verify_theorem_restricts_domain():
     assert len(report.rows) == sum(1 for g in sweep if is_checkerboard_colourable(g))
 
 
+def test_class_membership_acts_one_component_at_a_time():
+    # each disconnected class of at most 3 edges, isolated circles counted
+    # as components: the class predicates and every excluded-minor
+    # predicate of CHECKS hold of g exactly when they hold of each of its
+    # components, and the Euler genus adds up over them
+    from ribbonminor import euler_genus, is_plane, underlying_graph
+    from ribbonminor.verify import CHECKS
+
+    predicates = [is_checkerboard_colourable, is_bipartite, is_plane,
+                  *(excluded for _, _, excluded in CHECKS.values())]
+    checked = 0
+    for g in enumerate_presentations(EnumerationSpec(3, 4, False)):
+        comps = underlying_graph(g).components()
+        if len(comps) < 2:
+            continue
+        parts = [ArrowPresentation(tuple(g.circles[i] for i in sorted(c))) for c in comps]
+        assert euler_genus(g) == sum(map(euler_genus, parts)), g
+        for pred in predicates:
+            assert pred(g) == all(map(pred, parts)), (g, pred)
+        checked += 1
+    assert checked == 271
+
+
 # -- lemma checks ------------------------------------------------------------------
 
 
