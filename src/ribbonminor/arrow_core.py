@@ -434,10 +434,6 @@ class UnderlyingGraph:
     def is_connected(self) -> bool:
         return len(self.components()) <= 1
 
-    def has_odd_cycle(self) -> bool:
-        """Odd-cycle test by 2-colouring; any loop counts as an odd cycle."""
-        return _traverse(self.n_vertices, self._pairs())[1] is None
-
     def _pairs(self) -> list[tuple[int, int]]:
         return [(u, w) for _, u, w in self.edges]
 
@@ -493,6 +489,11 @@ def _traverse(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[list[int]]
     return comps, dict(enumerate(colour)) if proper else None
 
 
+def _edge_ends(g: ArrowPresentation) -> list[tuple[int, int]]:
+    """The two circles of each edge, in label order."""
+    return [(c1, c2) for (c1, _), (c2, _) in g.occurrences.values()]
+
+
 @lru_cache(maxsize=None)
 def underlying_graph(g: ArrowPresentation) -> UnderlyingGraph:
     edges = []
@@ -506,16 +507,24 @@ def underlying_graph(g: ArrowPresentation) -> UnderlyingGraph:
 # ---------------------------------------------------------------------------
 
 
+def _genus(g: ArrowPresentation) -> int:
+    """Euler genus 2c - |V| + |E| - |F|, with c counting isolated circles
+    too; it caches nothing, so a presentation read once, such as a move
+    result, leaves no entry behind."""
+    f = len(_trace_cycles(_boundary_arcs(g, g.occurrences)))
+    c = len(_traverse(g.n_vertices, _edge_ends(g))[0])
+    return 2 * c - g.n_vertices + g.n_edges - f
+
+
 @lru_cache(maxsize=None)
 def euler_genus(g: ArrowPresentation) -> int:
-    """Euler genus 2c - |V| + |E| - |F|, with c counting isolated circles too.
+    """Euler genus, cached: for presentations asked about again, such as
+    class representatives; see :func:`_genus`.
 
     >>> euler_genus(parse_arp("(e+ e-)"))
     1
     """
-    f = len(trace_boundaries(g))
-    c = len(underlying_graph(g).components())
-    return 2 * c - g.n_vertices + g.n_edges - f
+    return _genus(g)
 
 
 # ---------------------------------------------------------------------------

@@ -209,11 +209,13 @@ def _pruning(targets, family: MinorFamily):
     edge relabelling and flipping an edge's arrows keep the number of
     labels and of empty circles.  So it answers as the result's
     representative would, and :func:`_successors` canonicalises only a
-    result that passes it.  ``below`` reads the representative, since
-    ``euler_genus`` is an unbounded cache: called on raw results, it and
-    the caches under it fill with entries never looked up again (with the
-    verify limit raised, a cold ``verify T1 --max-edges 5`` took 6.4 s and
-    111 MB peak RSS that way, against 4.6 s and 66 MB, on a 2-core host)."""
+    result that passes it.  ``below`` reads the representative, through
+    ``euler_genus``, an unbounded cache that is given representatives
+    only: raw move results, read once, go through the uncached
+    ``_genus`` (the lemma checks) or not at all.  Called on raw results,
+    the cache filled with entries never looked up again (with the verify
+    limit raised, a cold ``verify T1 --max-edges 5`` took 6.4 s and 111 MB
+    peak RSS that way, against 4.6 s and 66 MB, on a 2-core host)."""
     counts = {_isolated_count(t) for t in targets}
     if len(counts) != 1:
         raise RuntimeError("the search needs targets that share one isolated-circle count")

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 from .arrow_core import (
     ArrowPresentation,
+    _boundary_arcs,
+    _edge_ends,
+    _trace_cycles,
     _traverse,
     euler_genus,
     trace_boundaries,
-    underlying_graph,
 )
 
 __all__ = [
@@ -48,11 +50,17 @@ def checkerboard_colouring(g: ArrowPresentation) -> dict[int, int] | None:
     boundary index of each component of the constraint multigraph gets
     colour 0, which makes the colouring unique.
     """
-    boundaries = trace_boundaries(g)
-    # the edge line segments of a walk are its odd positions
-    where = {seg: bi for bi, b in enumerate(boundaries) for seg in b.segments[1::2]}
-    pairs = [(where[(lab, 1)], where[(lab, 2)]) for lab in g.labels]
-    return _traverse(len(boundaries), pairs)[1]
+    # the walks of trace_boundaries, in its order, traced without its cache:
+    # the arcs are the gaps, then the two sides of each label in label
+    # order, and the sides of a walk are its odd positions
+    ends = _boundary_arcs(g, g.occurrences)
+    cycles = _trace_cycles(ends)
+    face = [0] * (len(ends) // 2)
+    for fi, cycle in enumerate(cycles):
+        for i, _ in cycle[1::2]:
+            face[i] = fi
+    pairs = [(face[i], face[i + 1]) for i in range(len(face) - 2 * g.n_edges, len(face), 2)]
+    return _traverse(len(cycles), pairs)[1]
 
 
 def is_checkerboard_colourable(g: ArrowPresentation) -> bool:
@@ -67,7 +75,7 @@ def is_checkerboard_colourable(g: ArrowPresentation) -> bool:
 
 def is_bipartite(g: ArrowPresentation) -> bool:
     """No odd cycle in the underlying abstract graph; any loop disqualifies."""
-    return not underlying_graph(g).has_odd_cycle()
+    return _traverse(g.n_vertices, _edge_ends(g))[1] is not None
 
 
 def is_plane(g: ArrowPresentation) -> bool:

@@ -18,8 +18,9 @@ from .arrow_core import (
     ArrowPresentation,
     Circle,
     _base_canonical,
+    _genus,
     _representative,
-    canonical_presentation,
+    _reversed,
     canonicalize,
     euler_genus,
 )
@@ -252,12 +253,45 @@ def verify_theorem(check_id: str, spec: EnumerationSpec = EnumerationSpec()) -> 
 
 def _move_check(g, moves, violates) -> tuple[int, int]:
     """(moves checked, violations): each of ``moves`` applied to g, and how
-    many of them give a result h with ``violates(g, h)``."""
-    return len(moves), sum(violates(g, mv.apply(g)) for mv in moves)
+    many of them give a result h with ``violates(g, h)``.  A move listed
+    twice is applied once and counted twice."""
+    verdicts = {mv: violates(g, mv.apply(g)) for mv in dict.fromkeys(moves)}
+    return len(moves), sum(verdicts[mv] for mv in moves)
 
 
 def _raises_genus(g, h) -> bool:
-    return euler_genus(h) > euler_genus(g)
+    # h is a move result, read once: its genus is not cached
+    return _genus(h) > euler_genus(g)
+
+
+def _labelled(circles: tuple[Circle, ...]) -> tuple[Circle, ...]:
+    """The circles, each at its least rotation or reversal, sorted, with
+    their labels kept and no edge flipped.  A least reading starts with
+    the least arrow of the circle's two readings, so only the rotations
+    that start there are compared."""
+    out = []
+    for c in circles:
+        if c:
+            readings = (c, _reversed(c))
+            first = min(map(min, readings))
+            c = min(v[i:] + v[:i] for v in readings for i, a in enumerate(v) if a == first)
+        out.append(c)
+    return tuple(sorted(out))
+
+
+def _same_classes(a: list[tuple[Circle, ...]], b: list[tuple[Circle, ...]]) -> bool:
+    """Whether the presentations with circles ``a`` and those with circles
+    ``b`` fall into the same set of classes; nothing is cached.
+
+    The two are compared first as sets of labelled forms (:func:`_labelled`),
+    then, only when those differ, as sets of minimal encodings, which are
+    equal exactly for equivalent presentations.  The first comparison is
+    sound: a labelled form only permutes, rotates and reverses circles, so
+    it is itself a presentation equivalent to the one it was read from, and
+    equal sets of labelled forms are equal sets of classes.
+    """
+    return (set(map(_labelled, a)) == set(map(_labelled, b))
+            or set(map(_base_canonical, a)) == set(map(_base_canonical, b)))
 
 
 # Two sets of classes compared once per class, hence its rows' moves=1: the
@@ -265,9 +299,9 @@ def _raises_genus(g, h) -> bool:
 # one dual-family move reaches from g*.  Moves are not matched one to one.
 def _transport_check(g, family, dual_family) -> tuple[int, int]:
     star = geometric_dual(g)
-    direct = {canonical_presentation(geometric_dual(mv.apply(g))) for mv in applicable_moves(g, family)}
-    transported = {canonical_presentation(mv.apply(star)) for mv in applicable_moves(star, dual_family)}
-    return 1, int(direct != transported)
+    direct = [geometric_dual(mv.apply(g)).circles for mv in applicable_moves(g, family)]
+    transported = [mv.apply(star).circles for mv in applicable_moves(star, dual_family)]
+    return 1, int(not _same_classes(direct, transported))
 
 
 # id -> g -> (moves checked, violations), or None when g is outside the

@@ -45,6 +45,7 @@ from oracles import (
     flip_loop_canonicalize,
     is_proper_deletion_direct,
     nx_components,
+    nx_euler_genus,
     nx_is_bipartite,
     nx_is_checkerboard_colourable,
     search_base_canonical,
@@ -263,6 +264,14 @@ def test_boundary_walk_matches_endpoint_walk_oracles_up_to_12_edges(g, seed):
 def test_two_colourings_match_networkx(g):
     assert is_bipartite(g) == nx_is_bipartite(g)
     assert is_checkerboard_colourable(g) == nx_is_checkerboard_colourable(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(presentations(max_edges=8, max_circles=5), st.integers(0, 2))
+def test_genus_kernel_matches_networkx(g, n_isolated):
+    # isolated circles each count as a component and a face
+    g = ArrowPresentation(g.circles + ((),) * n_isolated)
+    assert arrow_core._genus(g) == euler_genus(g) == nx_euler_genus(g)
 
 
 @settings(max_examples=100, deadline=None)

@@ -15,13 +15,14 @@ from ribbonminor import (
     applicable_moves,
     canonicalize,
     enumerate_presentations,
+    geometric_dual,
     is_bipartite,
     is_checkerboard_colourable,
     parse_arp,
     verify_lemma,
     verify_theorem,
 )
-from ribbonminor.verify import _move_check, _raises_genus
+from ribbonminor.verify import _labelled, _move_check, _raises_genus, _same_classes, _transport_check
 from oracles import brute_equivalent, dedup_enumerate
 
 P = parse_arp
@@ -122,15 +123,20 @@ print(json.dumps([len(classes), after[0] - before[0], after[1] - before[1]]))
 """
 
 
-def test_enumeration_memo_growth_is_per_class():
-    # a fresh interpreter, so that no earlier test has filled the memo tables
+def _run_fresh(source):
+    """The JSON that ``source`` prints, run in a fresh interpreter, so that
+    no earlier test has filled the memo tables."""
     src = os.path.dirname(os.path.dirname(ribbonminor.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run(
-        [sys.executable, "-c", _MEMO_GROWTH], env=env, capture_output=True, text=True, check=True,
+        [sys.executable, "-c", source], env=env, capture_output=True, text=True, check=True,
         timeout=300,
     )
-    n_classes, canon_growth, graph_growth = json.loads(out.stdout)
+    return json.loads(out.stdout)
+
+
+def test_enumeration_memo_growth_is_per_class():
+    n_classes, canon_growth, graph_growth = _run_fresh(_MEMO_GROWTH)
     assert n_classes == 77
     assert canon_growth <= 2 * n_classes
     assert graph_growth <= 2 * n_classes
@@ -255,6 +261,60 @@ def test_laws_no_lemma_id_checks():
             assert _move_check(g, moves, lambda _, h: not is_bipartite(h))[1] == 0, g
         for fam in (MinorFamily.EVEN_FACE, MinorFamily.BIPARTITE):
             assert _move_check(g, applicable_moves(g, fam), _raises_genus)[1] == 0, (g, fam)
+
+
+def test_move_check_applies_each_distinct_move_once():
+    # cc-closure lists the Eulerian moves again after the cc ones
+    g = P("(a+ b+ a+ b-)(c+ c-)")
+    moves = applicable_moves(g, MinorFamily.CHECKERBOARD) + applicable_moves(g, MinorFamily.EULERIAN)
+    results = []
+    assert _move_check(g, moves, lambda _, h: results.append(h) or True) == (len(moves), len(moves))
+    assert len(results) == len(set(moves)) < len(moves)
+
+
+_LEMMA_MEMO_GROWTH = """
+import json
+from ribbonminor import LEMMAS, EnumerationSpec, arrow_core, enumerate_presentations, verify_lemma
+tables = (arrow_core.trace_boundaries, arrow_core.underlying_graph, arrow_core.euler_genus)
+sizes = lambda: [len(arrow_core._canon_cache), *(t.cache_info().currsize for t in tables)]
+n_classes = len(enumerate_presentations(EnumerationSpec(3)))
+before = sizes()
+for lemma_id in LEMMAS:
+    verify_lemma(lemma_id, EnumerationSpec(3))
+print(json.dumps([n_classes, *(a - b for a, b in zip(sizes(), before))]))
+"""
+
+
+def test_lemma_checks_add_no_memo_entries_per_move_result():
+    # the 7 lemma ids read their move results through uncached kernels:
+    # after enumeration they add no canonical entry, and to each lru table
+    # at most the class representative and its geometric dual
+    n_classes, canon_growth, *lru_growth = _run_fresh(_LEMMA_MEMO_GROWTH)
+    assert n_classes == 77
+    assert canon_growth == 0
+    assert all(growth <= 2 * n_classes for growth in lru_growth), lru_growth
+
+
+_DUAL_PAIRS = [(MinorFamily.EULERIAN, MinorFamily.EVEN_FACE), (MinorFamily.CHECKERBOARD, MinorFamily.BIPARTITE)]
+
+
+@pytest.mark.parametrize("connected_only", [True, False])
+def test_transport_check_matches_canonical_sets(connected_only):
+    for g in enumerate_presentations(EnumerationSpec(3, connected_only=connected_only)):
+        star = geometric_dual(g)
+        for family, dual_family in _DUAL_PAIRS:
+            direct = {canonicalize(geometric_dual(mv.apply(g))) for mv in applicable_moves(g, family)}
+            transported = {canonicalize(mv.apply(star)) for mv in applicable_moves(star, dual_family)}
+            assert _transport_check(g, family, dual_family) == (1, int(direct != transported)), g
+
+
+def test_transport_comparison_falls_back_to_classes():
+    # flipping edge a's arrows keeps the class but not the labelled form,
+    # so only the minimal encodings can tell these sides apart or not
+    g, flipped, other = P("(a+ b+)(a+ b+)"), P("(a- b+)(a- b+)"), P("(a+ b+)(a+ b-)")
+    assert _labelled(g.circles) != _labelled(flipped.circles)
+    assert _same_classes([g.circles, other.circles], [other.circles, flipped.circles])
+    assert not _same_classes([g.circles], [other.circles])
 
 
 def test_verify_lemma_unknown_id():
