@@ -15,6 +15,7 @@ forms / equivalence testing.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Container, Iterable, NamedTuple, Union
@@ -62,6 +63,14 @@ def _malformed(circles, circle, circ) -> str:
         return f"bad circle {circle!r}: not an iterable of (label, sign) pairs"
 
 
+def _miscount(circles: tuple[Circle, ...]) -> ArpError:
+    """The error for circles in which some label does not occur exactly
+    twice, naming the least such label and its count."""
+    counts = Counter(label for circle in circles for label, _ in circle)
+    lab = min(lab for lab, k in counts.items() if k != 2)
+    return ArpError(f"label {lab!r} occurs {counts[lab]} times (exactly 2 required)")
+
+
 class ArrowPresentation:
     """An immutable set of circles with paired, labelled, directed arrows.
 
@@ -72,14 +81,16 @@ class ArrowPresentation:
 
     ``occurrences`` maps each label, in sorted order, to its two positions
     ``(circle, index)`` in reading order.  It is built once, at
-    construction, and ``labels``, ``n_edges`` and every walk read it.
+    construction, by one pass that pairs each label's two occurrences as
+    it reads them, and ``labels``, ``n_edges`` and every walk read it.
 
     Presentations are validated once, on input from outside the program:
-    the constructor checks every arrow, then :meth:`_set` counts the
-    labels.  Move results, partial duals, canonical representatives and
-    parsed text are built by :meth:`_of`, which only counts: their arrows
-    are copied from a validated presentation, flipped, canonical, or read
-    from tokens that :func:`parse_arp` has checked.
+    the constructor checks every arrow, then :meth:`_set` checks that
+    every label occurs exactly twice.  Move results, partial duals,
+    canonical representatives and parsed text are built by :meth:`_of`,
+    which only makes that count check: their arrows are copied from a
+    validated presentation, flipped, canonical, or read from tokens that
+    :func:`parse_arp` has checked.
 
     >>> ArrowPresentation([[("e", 1), ("e", -1)]]).to_text()
     '(e+ e-)'
@@ -116,18 +127,32 @@ class ArrowPresentation:
 
     def _set(self, circles: tuple[Circle, ...]) -> None:
         """Set the circles, the ``occurrences`` table and the hash; each
-        label must occur exactly twice."""
-        occ: dict[str, list[tuple[int, int]]] = {}
+        label must occur exactly twice.
+
+        One pass pairs each label's occurrences as it reads them: a first
+        sighting waits in ``first``, the second pops it and stores the
+        pair.  A label seen once stays in ``first``; one seen three times
+        waits there again, and one seen four times is paired twice over
+        and counted by ``n``.  So every label occurs exactly twice when
+        ``first`` is empty and the pairs hold every arrow; otherwise
+        :func:`_miscount` names the least label that does not.
+        """
+        first: dict[str, tuple[int, int]] = {}
+        pairs: dict[str, tuple[tuple[int, int], tuple[int, int]]] = {}
+        n = 0
         for ci, circle in enumerate(circles):
+            n += len(circle)
             for j, (label, _) in enumerate(circle):
-                occ.setdefault(label, []).append((ci, j))
+                if label in first:
+                    pairs[label] = (first.pop(label), (ci, j))
+                else:
+                    first[label] = (ci, j)
+        if first or 2 * len(pairs) != n:
+            raise _miscount(circles)
         self.circles: tuple[Circle, ...] = circles
         self.occurrences: dict[str, tuple[tuple[int, int], ...]] = {
-            lab: tuple(occ[lab]) for lab in sorted(occ)
+            lab: pairs[lab] for lab in sorted(pairs)
         }
-        for lab, ps in self.occurrences.items():
-            if len(ps) != 2:
-                raise ArpError(f"label {lab!r} occurs {len(ps)} times (exactly 2 required)")
         self._hash = hash(circles)
 
     # -- basic views ---------------------------------------------------

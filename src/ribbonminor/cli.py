@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 
 from .arrow_core import (
     ArpError,
@@ -148,7 +149,11 @@ _MOVE_HELP = {
 }
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: every ``_cmd_*``
+    looks up library names when it is called, and parsing changes no
+    parser state, so one parser serves every call of :func:`main`."""
     parser = argparse.ArgumentParser(
         prog="ribbonminor",
         description="Manipulate ribbon graphs given as arrow presentations.",

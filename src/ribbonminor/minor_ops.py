@@ -11,8 +11,7 @@ one boundary component counts the edge line segments strictly between them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .arrow_core import (
     ArpError,
@@ -371,10 +370,11 @@ def is_permissible_join(g: ArrowPresentation, c1: int, c2: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MinorMove:
+class MinorMove(NamedTuple):
     """One atomic move, replayable against a concrete presentation.
 
+    An immutable named tuple ``(kind, params)``: hashable and equal by
+    value, and cheap to build in the bulk that move listing needs.
     ``KINDS`` maps each kind to its move function and parameter names: an
     ``edge`` is a label, every other parameter is an integer (a component,
     circle or boundary index, or a gap or walk position).

@@ -24,7 +24,7 @@ from .arrow_core import (
     canonicalize,
     euler_genus,
 )
-from .duality import geometric_dual
+from .duality import _dual_words, geometric_dual
 from .minor_ops import MinorMove
 from .minor_search import (
     MinorFamily,
@@ -297,9 +297,16 @@ def _same_classes(a: list[tuple[Circle, ...]], b: list[tuple[Circle, ...]]) -> b
 # Two sets of classes compared once per class, hence its rows' moves=1: the
 # duals of the classes one family move reaches from g, against the classes
 # one dual-family move reaches from g*.  Moves are not matched one to one.
+#
+# The direct side reads each dual's circles from one boundary walk and
+# builds no presentation for it, so it skips the count check that
+# geometric_dual's result would make.  None is lost: every label of h is
+# jumped, so it appears once on each of its two jump arcs, exactly twice.
+# An h with no edges walks to its own empty circles, as its dual is h.
 def _transport_check(g, family, dual_family) -> tuple[int, int]:
     star = geometric_dual(g)
-    direct = [geometric_dual(mv.apply(g)).circles for mv in applicable_moves(g, family)]
+    moved = (mv.apply(g) for mv in applicable_moves(g, family))
+    direct = [tuple(_dual_words(h, h.occurrences)) for h in moved]
     transported = [mv.apply(star).circles for mv in applicable_moves(star, dual_family)]
     return 1, int(not _same_classes(direct, transported))
 

@@ -6,8 +6,10 @@ endpoints, and equivalence via explicit enumeration of relabellings, edge
 flips, rotations and reversals; canonical forms via the edge-flip mask loop,
 and the minimal encoding via the recursive search over circle order;
 the enumeration by canonicalising every raw (word, composition) candidate,
-as first written; boundary tracing and partial duality via two separate
-endpoint walks; five test-only kernels: the direct deletion properness test,
+as first written; the label table by collecting each label's positions
+and counting them, as first written; boundary tracing and partial duality
+via two separate endpoint walks; five test-only kernels: the direct
+deletion properness test,
 the literal vertex and face splits, the counted face-split gate and the
 trivial-loop test; the arcs of a boundary walk or a circle, counted item by item, as the
 reference for every distance and parity gate; the minor search with its
@@ -383,6 +385,22 @@ def flip_loop_canonicalize(g) -> str:
         "(" + " ".join(f"{_flip_loop_label(i)}{'+' if bit == 0 else '-'}" for i, bit in circ) + ")"
         for circ in (best if best is not None else ())
     )
+
+
+def counted_occurrences(circles) -> dict[str, tuple[tuple[int, int], ...]]:
+    """The ``occurrences`` table of the circles, built as first written:
+    every label's positions collected into a list, the labels sorted, and
+    each count checked in that order, so a miscount names the least label
+    that does not occur exactly twice."""
+    occ: dict[str, list[tuple[int, int]]] = {}
+    for ci, circle in enumerate(circles):
+        for j, (label, _) in enumerate(circle):
+            occ.setdefault(label, []).append((ci, j))
+    table = {lab: tuple(occ[lab]) for lab in sorted(occ)}
+    for lab, ps in table.items():
+        if len(ps) != 2:
+            raise ArpError(f"label {lab!r} occurs {len(ps)} times (exactly 2 required)")
+    return table
 
 
 # The enumeration as first written: every raw (word, composition) candidate

@@ -23,6 +23,7 @@ from oracles import (
     _words,
     assert_walks_alternate,
     brute_equivalent,
+    counted_occurrences,
     endpoint_trace_boundaries,
     flip_loop_canonicalize,
     nx_boundary_partition,
@@ -81,6 +82,52 @@ def test_constructor_reports_first_bad_arrow_label_before_sign():
 def test_constructor_reports_least_label_with_wrong_count():
     with pytest.raises(ArpError, match=r"^label 'b' occurs 3 times \(exactly 2 required\)$"):
         ArrowPresentation([[("z", 1)], [("b", 1), ("b", 1), ("b", -1)], [("c", 1), ("c", 1)]])
+
+
+def _assert_table_matches_counted(g):
+    ref = counted_occurrences(g.circles)
+    assert list(g.occurrences.items()) == list(ref.items())
+    assert list(ArrowPresentation._of(g.circles).occurrences.items()) == list(ref.items())
+
+
+def test_occurrences_match_counting_reference():
+    from ribbonminor import MinorFamily, applicable_moves, geometric_dual
+
+    for g in enumerate_presentations(EnumerationSpec(4)):
+        _assert_table_matches_counted(g)
+    # every class of at most 3 edges, connected or not
+    for g in enumerate_presentations(EnumerationSpec(3, 5, False)):
+        _assert_table_matches_counted(geometric_dual(g))
+        for fam in MinorFamily:
+            for mv in applicable_moves(g, fam):
+                h = mv.apply(g)
+                _assert_table_matches_counted(h)
+                _assert_table_matches_counted(geometric_dual(h))
+
+
+@pytest.mark.parametrize(
+    "circles, message",
+    [
+        ([[("a", 1)]], "label 'a' occurs 1 times (exactly 2 required)"),
+        ([[("a", 1), ("a", 1), ("a", -1)]], "label 'a' occurs 3 times (exactly 2 required)"),
+        ([[("a", 1), ("a", 1)], [("a", -1), ("a", 1)]], "label 'a' occurs 4 times (exactly 2 required)"),
+        # the third sighting comes on a later circle, after the label was paired
+        ([[("a", 1), ("b", 1), ("a", 1)], [("b", -1)], [("a", -1)]],
+         "label 'a' occurs 3 times (exactly 2 required)"),
+        # two bad labels: the lesser is named, whichever is met first
+        ([[("z", 1), ("b", 1)], [("b", 1), ("b", 1)]], "label 'b' occurs 3 times (exactly 2 required)"),
+        ([[("c", 1), ("c", 1), ("c", 1), ("c", 1)], [("d", 1)]], "label 'c' occurs 4 times (exactly 2 required)"),
+        ([[("y", 1), ("x", 1), ("x", 1), ("x", 1), ("x", 1)]], "label 'x' occurs 4 times (exactly 2 required)"),
+    ],
+)
+def test_miscount_text_matches_counting_reference(circles, message):
+    with pytest.raises(ArpError) as ref:
+        counted_occurrences(circles)
+    with pytest.raises(ArpError) as built:
+        ArrowPresentation(circles)
+    with pytest.raises(ArpError) as unchecked:
+        ArrowPresentation._of(tuple(map(tuple, circles)))
+    assert str(ref.value) == str(built.value) == str(unchecked.value) == message
 
 
 @pytest.mark.parametrize(

@@ -142,6 +142,39 @@ def test_verify_unknown_id(capsys):
     assert "unknown id" in capsys.readouterr().err
 
 
+_SUBCOMMANDS = ["info", "dual", "pdual", *MinorMove.KINDS, "minor", "verify", "enumerate"]
+
+
+def _help_texts(parse) -> list[str]:
+    texts = []
+    for argv in (["--help"], *([cmd, "--help"] for cmd in _SUBCOMMANDS)):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exit_:
+            parse(argv)
+        assert exit_.value.code == 0
+        texts.append(out.getvalue())
+    return texts
+
+
+def test_parser_is_reused_and_unchanged_by_use(capsys):
+    # main builds the parser once per process; a second call, and a call
+    # after failed ones, read the same parser to the same output
+    assert build_parser() is build_parser()
+    fresh = build_parser.__wrapped__()
+    assert main(["verify", "T1", "--max-edges", "2"]) == 0
+    first = capsys.readouterr().out
+    assert main(["verify", "T1", "--max-edges", "2"]) == 0
+    assert capsys.readouterr().out == first and first
+    assert main(["verify", "T42"]) == 2
+    with pytest.raises(SystemExit) as exit_:
+        main(["frobnicate"])
+    assert exit_.value.code == 2
+    capsys.readouterr()
+    assert main(["verify", "T1", "--max-edges", "2"]) == 0
+    assert capsys.readouterr().out == first
+    assert _help_texts(main) == _help_texts(fresh.parse_args)
+
+
 def test_enumerate_one_edge(capsys):
     assert main(["enumerate", "--max-edges", "1", "--max-circles", "2"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -222,6 +255,24 @@ def test_move_subcommand_matches_move_record(kind, tmp_path, capsys, sweep2):
     assert moves
     for m in moves:
         assert MinorMove.parse(str(m)) == m
+
+
+@pytest.mark.parametrize("kind", list(MinorMove.KINDS))
+def test_move_record_is_an_immutable_value(kind):
+    import copy
+    import pickle
+
+    mv = MinorMove(kind, _MOVE_PARAMS[kind])
+    for name in ("kind", "params"):
+        with pytest.raises(AttributeError):
+            setattr(mv, name, None)
+    twin = MinorMove(kind, tuple(_MOVE_PARAMS[kind]))
+    assert twin == mv and twin is not mv and hash(twin) == hash(mv)
+    # verify._move_check relies on equal moves collapsing in a set and a dict
+    assert len({mv, twin}) == 1 and list(dict.fromkeys([mv, twin, mv])) == [mv]
+    g = parse_arp(_MOVE_INPUT)
+    for copied in (copy.deepcopy(mv), pickle.loads(pickle.dumps(mv))):
+        assert type(copied) is MinorMove and copied == mv and copied.apply(g) == mv.apply(g)
 
 
 def test_bounds_default_to_enumeration_spec():

@@ -3,6 +3,7 @@
 import random
 
 import networkx as nx
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ribbonminor import (
@@ -40,6 +41,7 @@ from oracles import (
     assert_moves_match_partial_dual_route,
     assert_walks_alternate,
     can_split_face_counted,
+    counted_occurrences,
     endpoint_partial_dual,
     endpoint_trace_boundaries,
     flip_loop_canonicalize,
@@ -257,6 +259,35 @@ def test_boundary_walk_matches_endpoint_walk_oracles_up_to_12_edges(g, seed):
     subset = frozenset(e for e in g.labels if rng.random() < 0.5)
     assert partial_dual(g, subset).circles == endpoint_partial_dual(g, subset).circles
     assert geometric_dual(g).circles == endpoint_partial_dual(g, g.labels).circles
+
+
+@settings(max_examples=100, deadline=None)
+@given(presentations(max_edges=32, max_circles=6),
+       st.lists(st.tuples(st.integers(0, 63), st.booleans()), max_size=3))
+def test_occurrences_match_counting_reference_up_to_32_edges(g, edits):
+    # the table, key order included, and then circles with arrows dropped
+    # or repeated: both builds raise the reference's miscount text, if any
+    ref = counted_occurrences(g.circles)
+    assert list(g.occurrences.items()) == list(ref.items())
+    circles = [list(c) for c in g.circles]
+    for k, repeat in edits:
+        c = circles[k % len(circles)]
+        if not c:
+            continue
+        if repeat:
+            c.insert(k % len(c), c[k % len(c)])
+        else:
+            del c[k % len(c)]
+    circles = tuple(map(tuple, circles))
+    try:
+        ref = counted_occurrences(circles)
+    except ArpError as err:
+        for build in (ArrowPresentation, ArrowPresentation._of):
+            with pytest.raises(ArpError) as built:
+                build(circles)
+            assert str(built.value) == str(err)
+    else:
+        assert list(ArrowPresentation._of(circles).occurrences.items()) == list(ref.items())
 
 
 @settings(max_examples=100, deadline=None)
