@@ -205,6 +205,11 @@ class ArrowPresentation:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        # a string's hash differs between processes, so a pickled copy is
+        # rebuilt from its circles, hash and label table included
+        return (ArrowPresentation._of, (self.circles,))
+
     def __repr__(self) -> str:
         return f"ArrowPresentation({self.to_text()!r})"
 
@@ -321,24 +326,31 @@ class BoundaryComponent:
             raise ArpError(f"segment {seg!r} not on this boundary component") from None
 
 
-def _boundary_arcs(g: ArrowPresentation, jumped: Container[str]) -> list[int]:
-    """The arcs of the boundary walk with the edges in ``jumped`` crossed, as
-    a flat list: arc i runs from endpoint ``ends[2i]`` to ``ends[2i + 1]``.
+def _walk(g: ArrowPresentation, jumped: Container[str]) -> tuple[list[list[tuple[int, int]]], int]:
+    """The boundary walk of g with the edges in ``jumped`` crossed: its
+    cycles, as ``(arc, direction)`` pairs, and the index of its first edge
+    arc.
 
-    Endpoints are integers.  With ``base[c]`` the number of endpoints on the
-    circles before c, endpoint ``base[c] + 2j + part`` is the tail (part 0)
-    or head (part 1) of arrow j of circle c; an empty circle has one
-    notional endpoint, ``base[c]``.  So the endpoints are exactly
-    ``0 .. len(ends) // 2 - 1``, one per arc.
+    The arcs join arrow endpoints, which are integers: with ``base[c]`` the
+    number of endpoints on the circles before c, endpoint ``base[c] + 2j +
+    part`` is the tail (part 0) or head (part 1) of arrow j of circle c; an
+    empty circle has one notional endpoint, ``base[c]``.  Arc i runs from
+    endpoint ``ends[2i]`` to ``ends[2i + 1]``, and there is one arc per
+    endpoint.  First come the gaps, circle by circle, each from the exit
+    endpoint of its arrow to the entry endpoint of the next; an empty
+    circle's single gap is an arc from its notional endpoint to itself.
+    Then come the edge arcs, two per label in sorted order: its two jump
+    segments head to tail if it is in ``jumped``, else its two arrows tail
+    to head.  Every endpoint meets one gap and one edge arc, so a cycle
+    alternates gap, edge arc, gap, ...  With every label jumped the cycles
+    are the boundary components; with the labels of A jumped they are the
+    circles of the partial dual g^A, whose arrows are the jump segments of
+    A (Chmutov, JCTB 2009).
 
-    First the gaps, circle by circle, each from the exit endpoint of its arrow
-    to the entry endpoint of the next; an empty circle's single gap is an arc
-    from its notional endpoint to itself.  Then, for each label in sorted
-    order, its two jump segments head to tail if it is in ``jumped``, else its
-    two arrows tail to head.  Every endpoint meets one gap and one other arc.
-    With every label jumped the cycles are the boundary components; with the
-    labels of A jumped they are the circles of the partial dual g^A, whose
-    arrows are the jump segments of A (Chmutov, JCTB 2009).
+    Each cycle starts at its lowest arc, a gap, walked from its first
+    endpoint to its second; direction is +1 for an arc walked that way,
+    else -1.  End 2i of arc i is its first endpoint and end 2i+1 its
+    second; ``mate`` pairs the two ends that meet at each endpoint.
     """
     ends: list[int] = []
     base = []
@@ -356,24 +368,12 @@ def _boundary_arcs(g: ArrowPresentation, jumped: Container[str]) -> list[int]:
             # entry the other way round
             ends += (n + 2 * j + (circle[j][1] > 0), n + 2 * k + (circle[k][1] < 0))
         n += 2 * d
+    first = len(ends) >> 1
     for lab, ((c1, p1), (c2, p2)) in g.occurrences.items():
         t1, t2 = base[c1] + 2 * p1, base[c2] + 2 * p2
         ends += (t1 + 1, t2, t2 + 1, t1) if lab in jumped else (t1, t1 + 1, t2, t2 + 1)
-    return ends
-
-
-def _trace_cycles(ends: list[int]) -> list[list[tuple[int, int]]]:
-    """The cycles of a 2-regular flat arc list (see :func:`_boundary_arcs`)
-    as ``(arc index, direction)`` pairs.
-
-    Each cycle starts at its lowest-index arc, walked from its first endpoint
-    to its second; direction is +1 for an arc walked that way, else -1.
-    End 2i of arc i is its first endpoint and end 2i+1 its second; ``mate``
-    pairs the two ends that meet at each endpoint.
-    """
-    n_arcs = len(ends) // 2
     mate = [0] * len(ends)
-    first_end = [-1] * n_arcs  # one endpoint per arc, numbered densely
+    first_end = [-1] * n  # the end that met each endpoint first
     for end, ep in enumerate(ends):
         other = first_end[ep]
         if other < 0:
@@ -381,8 +381,8 @@ def _trace_cycles(ends: list[int]) -> list[list[tuple[int, int]]]:
         else:
             mate[end], mate[other] = other, end
     cycles = []
-    seen = [False] * n_arcs
-    for start in range(n_arcs):
+    seen = [False] * n
+    for start in range(n):
         if seen[start]:
             continue
         seen[start] = True
@@ -393,7 +393,17 @@ def _trace_cycles(ends: list[int]) -> list[list[tuple[int, int]]]:
             cycle.append((end >> 1, 1 - 2 * (end & 1)))  # entered at its first end: +1
             end = mate[end ^ 1]
         cycles.append(cycle)
-    return cycles
+    return cycles, first
+
+
+def _faces(g: ArrowPresentation, jumped: Container[str]) -> list[Circle]:
+    """The cycles of :func:`_walk` as words: each cycle's edge arcs, at its
+    odd positions, as ``(label, +1 when walked along it)`` in walk order.
+    An isolated circle gives the empty word.  With the labels of A jumped
+    the words are the circles of g^A, in the walk's order."""
+    cycles, first = _walk(g, jumped)
+    labels = g.labels
+    return [tuple((labels[(i - first) >> 1], d) for i, d in cycle[1::2]) for cycle in cycles]
 
 
 @lru_cache(maxsize=None)
@@ -422,7 +432,7 @@ def trace_boundaries(g: ArrowPresentation) -> tuple[BoundaryComponent, ...]:
     segs += [EdgeLineSegment(lab, side) for lab in g.labels for side in (1, 2)]
     return tuple(
         BoundaryComponent(tuple(segs[i] for i, _ in cyc), tuple(d for _, d in cyc))
-        for cyc in _trace_cycles(_boundary_arcs(g, g.occurrences))  # every label jumped
+        for cyc in _walk(g, g.occurrences)[0]  # every label jumped
     )
 
 
@@ -455,9 +465,6 @@ class UnderlyingGraph:
     def components(self) -> tuple[frozenset[int], ...]:
         """Connected components as vertex sets, sorted by smallest member."""
         return tuple(map(frozenset, _traverse(self.n_vertices, self._pairs())[0]))
-
-    def is_connected(self) -> bool:
-        return len(self.components()) <= 1
 
     def _pairs(self) -> list[tuple[int, int]]:
         return [(u, w) for _, u, w in self.edges]
@@ -536,7 +543,7 @@ def _genus(g: ArrowPresentation) -> int:
     """Euler genus 2c - |V| + |E| - |F|, with c counting isolated circles
     too; it caches nothing, so a presentation read once, such as a move
     result, leaves no entry behind."""
-    f = len(_trace_cycles(_boundary_arcs(g, g.occurrences)))
+    f = len(_walk(g, g.occurrences)[0])
     c = len(_traverse(g.n_vertices, _edge_ends(g))[0])
     return 2 * c - g.n_vertices + g.n_edges - f
 

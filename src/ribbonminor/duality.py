@@ -12,27 +12,19 @@ from __future__ import annotations
 
 from typing import Container, Iterable
 
-from .arrow_core import ArpError, ArrowPresentation, Circle, _boundary_arcs, _trace_cycles
+from .arrow_core import ArpError, ArrowPresentation, Circle, _faces
 
 __all__ = ["geometric_dual", "partial_dual"]
 
 
 def _dual_words(g: ArrowPresentation, a: Container[str]) -> list[Circle]:
-    """The circles of g^A for labels A of g, unvalidated: one boundary walk.
-
-    The dual's circles are the cycles of the walk that crosses the edges of
-    A; each arrow or jump segment met on a cycle is an arrow of the dual, +
-    when walked along it.  Isolated circles come out as empty words and are
-    sorted last; otherwise the cycles keep the walk's order.
+    """The circles of g^A for labels A of g, unvalidated: the words of the
+    boundary walk that crosses the edges of A, whose every arrow or jump
+    segment is an arrow of the dual, + when walked along it.  Isolated
+    circles come out as empty words and are sorted last; otherwise the
+    words keep the walk's order.
     """
-    labels = g.labels
-    ends = _boundary_arcs(g, a)
-    first = len(ends) // 2 - 2 * len(labels)  # the gaps come first, then two arcs per label
-    words = [
-        tuple((labels[(i - first) // 2], d) for i, d in cycle if i >= first)
-        for cycle in _trace_cycles(ends)
-    ]
-    return sorted(words, key=lambda w: not w)
+    return sorted(_faces(g, a), key=lambda w: not w)
 
 
 def partial_dual(g: ArrowPresentation, edges: Iterable[str]) -> ArrowPresentation:

@@ -10,15 +10,7 @@ genus zero).
 
 from __future__ import annotations
 
-from .arrow_core import (
-    ArrowPresentation,
-    _boundary_arcs,
-    _edge_ends,
-    _trace_cycles,
-    _traverse,
-    euler_genus,
-    trace_boundaries,
-)
+from .arrow_core import ArrowPresentation, _edge_ends, _faces, _traverse, euler_genus, trace_boundaries
 
 __all__ = [
     "checkerboard_colouring",
@@ -50,17 +42,14 @@ def checkerboard_colouring(g: ArrowPresentation) -> dict[int, int] | None:
     boundary index of each component of the constraint multigraph gets
     colour 0, which makes the colouring unique.
     """
-    # the walks of trace_boundaries, in its order, traced without its cache:
-    # the arcs are the gaps, then the two sides of each label in label
-    # order, and the sides of a walk are its odd positions
-    ends = _boundary_arcs(g, g.occurrences)
-    cycles = _trace_cycles(ends)
-    face = [0] * (len(ends) // 2)
-    for fi, cycle in enumerate(cycles):
-        for i, _ in cycle[1::2]:
-            face[i] = fi
-    pairs = [(face[i], face[i + 1]) for i in range(len(face) - 2 * g.n_edges, len(face), 2)]
-    return _traverse(len(cycles), pairs)[1]
+    # the faces of trace_boundaries, in its order, traced without its cache;
+    # each label's two sides are the two places it occurs in the words
+    faces = _faces(g, g.occurrences)
+    sides: dict[str, list[int]] = {}
+    for fi, word in enumerate(faces):
+        for lab, _ in word:
+            sides.setdefault(lab, []).append(fi)
+    return _traverse(len(faces), sides.values())[1]
 
 
 def is_checkerboard_colourable(g: ArrowPresentation) -> bool:

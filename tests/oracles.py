@@ -456,7 +456,7 @@ def dedup_enumerate(spec):
             for parts in _compositions(2 * e, spec.max_circles):
                 circles = [tuple((f"e{word[i][0]}", word[i][1]) for i in part) for part in parts]
                 g = ArrowPresentation(circles)
-                if spec.connected_only and not underlying_graph(g).is_connected():
+                if spec.connected_only and len(underlying_graph(g).components()) > 1:
                     continue
                 forms.add(canonicalize(g))
                 if not spec.connected_only:

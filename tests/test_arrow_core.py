@@ -1,5 +1,12 @@
+import copy
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 
+import ribbonminor
 from ribbonminor import (
     ArpError,
     ArrowPresentation,
@@ -188,6 +195,36 @@ def test_empty_presentation():
     assert parse_arp("") == g
     assert euler_genus(g) == 0
     assert trace_boundaries(g) == ()
+
+
+def _run_with_hash_seed(seed, source, stdin=""):
+    """What ``source`` prints, run in a fresh interpreter under the string
+    hash seed ``seed``."""
+    src = os.path.dirname(os.path.dirname(ribbonminor.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-c", source], input=stdin, env=env, capture_output=True,
+                          text=True, check=True, timeout=60).stdout
+
+
+def test_pickled_presentation_hashes_as_loaded_in_another_process():
+    # a string's hash differs between processes, so a presentation pickled
+    # in one must hash, in another, as the same presentation built there
+    text = "(a+ b- c+)(a- c-)(b+)()"
+    dumped = _run_with_hash_seed(1, "import pickle, sys; from ribbonminor import parse_arp; "
+                                    f"sys.stdout.write(pickle.dumps(parse_arp({text!r})).hex())")
+    loaded = _run_with_hash_seed(2, "import pickle, sys; from ribbonminor import parse_arp; "
+                                    "g = pickle.loads(bytes.fromhex(sys.stdin.read())); "
+                                    f"h = parse_arp({text!r}); "
+                                    "print(g == h, hash(g) == hash(h), h in {g}, g.occurrences == h.occurrences)",
+                                 stdin=dumped)
+    assert loaded.split() == ["True"] * 4
+
+
+def test_copies_are_equal_values():
+    g = P("(a+ b- c+)(a- c-)(b+)()")
+    for h in (copy.deepcopy(g), copy.copy(g), pickle.loads(pickle.dumps(g))):
+        assert h == g and hash(h) == hash(g) and h.occurrences == g.occurrences
 
 
 # -- boundary tracing --------------------------------------------------------

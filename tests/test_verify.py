@@ -208,6 +208,24 @@ def test_verify_theorem_restricts_domain():
     assert len(report.rows) == sum(1 for g in sweep if is_checkerboard_colourable(g))
 
 
+@pytest.mark.parametrize("check_id, name, families", [
+    ("T6", "plane_cc_by_excluded_minors", ("cc", "eulerian")),
+    ("T7", "plane_bipartite_by_excluded_minors", ("bipartite", "even-face")),
+])
+@pytest.mark.parametrize("wrong", [0, 1])
+def test_two_family_checks_fail_a_row_when_either_family_disagrees(monkeypatch, check_id, name, families, wrong):
+    # one family made to give the wrong answer: every row fails, the
+    # non-plane ones too, where the other family already finds a minor
+    from ribbonminor import verify
+
+    right = getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda g, fam: right(g, fam) != (fam == families[wrong]))
+    report = verify_theorem(check_id, EnumerationSpec(3))
+    details = {r.detail for r in report.rows}
+    assert details == {"predicate=true excluded_minor=none", "predicate=false excluded_minor=none"}
+    assert report.n_failures == len(report.rows)
+
+
 def test_class_membership_acts_one_component_at_a_time():
     # each disconnected class of at most 3 edges, isolated circles counted
     # as components: the class predicates and every excluded-minor
@@ -359,9 +377,9 @@ def test_disconnected_three_edge_pins_name_every_check():
     assert all(len(d) == 64 and int(d, 16) >= 0 for d in pins.values())
 
 
-@pytest.mark.parametrize("check_id", ["T1", "T2", "T3", "T4", "C1", "C2", "C3", "C4"])
+@pytest.mark.parametrize("check_id", ["T1", "T2", "T3", "T4", "T5", "T6", "T7", "C1", "C2", "C3", "C4"])
 def test_reach_pass_reports_match_four_edge_pins(check_id):
-    # the reports of T1-T4 and C1-C4, in process; CI compares all
+    # the reports of all eleven theorem ids, in process; CI compares all
     # eighteen, each from a cold CLI run
     text = verify_theorem(check_id, EnumerationSpec(4)).to_text()
     assert hashlib.sha256(text.encode()).hexdigest() == _pins("verify_e4.sha256")[check_id]
