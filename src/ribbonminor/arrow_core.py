@@ -488,14 +488,15 @@ class UnderlyingGraph:
         return (self.n_vertices, best if best is not None else ())
 
 
-def _traverse(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[list[int]], dict[int, int] | None]:
+def _traverse(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[list[int]], list[int] | None]:
     """One breadth-first pass over vertices 0..n-1 joined by ``pairs``.
 
     Returns the connected components, each a list of its vertices in the
-    order reached, in order of least vertex; and the 0/1 colouring giving
-    the two ends of every pair different colours, with colour 0 on each
-    component's least vertex, or None when there is none (a pair (v, v)
-    rules it out).  Such a colouring is unique when it exists.
+    order reached, in order of least vertex; and the list of 0/1 colours,
+    by vertex, giving the two ends of every pair different colours, with
+    colour 0 on each component's least vertex, or None when there is none
+    (a pair (v, v) rules it out).  Such a colouring is unique when it
+    exists.
     """
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, w in pairs:
@@ -518,7 +519,7 @@ def _traverse(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[list[int]]
                 elif colour[w] != c:
                     proper = False
         comps.append(comp)
-    return comps, dict(enumerate(colour)) if proper else None
+    return comps, colour if proper else None
 
 
 def _edge_ends(g: ArrowPresentation) -> list[tuple[int, int]]:

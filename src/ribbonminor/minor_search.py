@@ -31,9 +31,14 @@ class shares, so a result it drops is never given to
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
+from collections.abc import Sequence
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import accumulate
+from math import isqrt
+from operator import index
 from types import MappingProxyType
 
 from .arrow_core import (
@@ -119,39 +124,111 @@ def _even_pairs(m: int):
             yield a, b
 
 
-def applicable_moves(g: ArrowPresentation, family: MinorFamily) -> tuple[MinorMove, ...]:
-    """Every legal move of the family on g, duplicate-free, in a fixed order.
+def _tail(t: int, odd: int) -> int:
+    """The pairs in the last t rows of :func:`_even_pairs` for a count of
+    parity ``odd``: row n - s holds s pairs when the count is odd and
+    ⌈s/2⌉ when it is even, which sum to t(t + 1)/2 and ⌊(t + 1)²/4⌋."""
+    return t * (t + 1) // 2 if odd else (t + 1) ** 2 // 4
+
+
+def _even_count(m: int) -> int:
+    """How many pairs :func:`_even_pairs` lists for m."""
+    return _tail(max(m, 1), m % 2)
+
+
+def _even_pair(m: int, j: int) -> tuple[int, int]:
+    """The j-th pair :func:`_even_pairs` lists for m, in closed form.
+
+    With r pairs after it, its row is the t-th from the end for the least
+    t with _tail(t) > r.  When m is odd, t(t + 1)/2 > r gives
+    t = ⌊(⌊√(8r + 1)⌋ + 1)/2⌋; when it is even, ⌊(t + 1)²/4⌋ > r, that is
+    (t + 1)² >= 4r + 4, gives t = ⌊√(4r + 3)⌋.  Its place in the row is
+    _tail(t) - 1 - r, and b steps from a by 1 or 2.
+
+    >>> [_even_pair(3, j) for j in range(4)], _even_pair(2, 1), _even_pair(0, 0)
+    ([(0, 0), (0, 1), (0, 2), (1, 1)], (1, 1), (0, 0))
+    """
+    n, odd = max(m, 1), m % 2
+    r = _tail(n, odd) - 1 - j
+    t = (isqrt(8 * r + 1) + 1) // 2 if odd else isqrt(4 * r + 3)
+    a = n - t
+    return a, a + (2 - odd) * (_tail(t, odd) - 1 - r)
+
+
+class _Moves(Sequence):
+    """A read-only move list: the listed moves, then the even splits of one
+    kind over the circles or walks whose counts are given, each split built
+    only when it is read.  ``[k]`` finds the circle by bisection over the
+    running split counts and its pair by :func:`_even_pair`; iteration
+    yields the splits in :func:`_even_pairs` order."""
+
+    def __init__(self, listed: tuple, split: str = "", step: int = 1, counts=()):
+        self._listed, self._split, self._step = listed, split, step
+        self._counts = tuple(counts)
+
+    @cached_property
+    def _ends(self) -> list[int]:
+        # _ends[i] is the index of circle i's first split, _ends[-1] the
+        # length; counted on the first len or index, as the searches only iterate
+        return list(accumulate(map(_even_count, self._counts), initial=len(self._listed)))
+
+    def __len__(self) -> int:
+        return self._ends[-1]
+
+    def __getitem__(self, k) -> MinorMove:
+        k = index(k)
+        if k < 0:
+            k += len(self)
+        if not 0 <= k < len(self):
+            raise IndexError("move index out of range")
+        if k < len(self._listed):
+            return self._listed[k]
+        i = bisect_right(self._ends, k) - 1
+        a, b = _even_pair(self._counts[i], k - self._ends[i])
+        return MinorMove(self._split, (i, self._step * a, self._step * b))
+
+    def __iter__(self):
+        yield from self._listed
+        split, step = self._split, self._step
+        for i, m in enumerate(self._counts):
+            for a, b in _even_pairs(m):
+                yield MinorMove(split, (i, step * a, step * b))
+
+
+def applicable_moves(g: ArrowPresentation, family: MinorFamily) -> Sequence[MinorMove]:
+    """Every legal move of the family on g, duplicate-free, in a fixed order,
+    as a read-only sequence: ``len``, indexing and iteration, and the even
+    splits built only where they are read.  Callers that need a tuple, or
+    to compare two lists, take ``tuple()`` of it.
 
     The dual pairs share their lists: cc takes the Eulerian moves and
     bipartite the even-face moves, each without the properness test.  In
     order, Eulerian and cc list component deletions, contractions and
     vertex splits; even-face and bipartite deletions, component deletions
-    and face splits; join deletions, vertex deletions and joins.  The
-    splits are at positions in range and at gaps or vertex line segments by
-    construction: all that the public gates check before the rule that
-    :func:`_even_pairs` lists in closed form.
+    and face splits; join deletions, vertex deletions and joins.  All but
+    the splits are built up front.  The splits are at positions in range
+    and at gaps or vertex line segments by construction: all that the
+    public gates check before the rule that :func:`_even_pairs` lists, and
+    :func:`_even_count` counts, in closed form.
     """
     family = MinorFamily(family)
     if family is MinorFamily.BIPARTITE_JOIN:
         n = g.n_vertices
-        return (*(MinorMove("delete", (e,)) for e in g.labels),
-                *(MinorMove("delete-vertex", (c,)) for c in range(n)),
-                *(MinorMove("join", (c1, c2)) for c1 in range(n) for c2 in range(c1 + 1, n)
-                  if is_permissible_join(g, c1, c2)))
+        return _Moves((*(MinorMove("delete", (e,)) for e in g.labels),
+                       *(MinorMove("delete-vertex", (c,)) for c in range(n)),
+                       *(MinorMove("join", (c1, c2)) for c1 in range(n) for c2 in range(c1 + 1, n)
+                         if is_permissible_join(g, c1, c2))))
     n_comp = len(underlying_graph(g).components())
     comp_dels = [MinorMove("delete-component", (k,)) for k in range(n_comp)]
     if family in (MinorFamily.EULERIAN, MinorFamily.CHECKERBOARD):
         moves = comp_dels + [MinorMove("contract", (e,)) for e in g.labels
                              if family is MinorFamily.CHECKERBOARD or is_proper_contraction(g, e)]
-        split, step, counts = "split-vertex", 1, map(len, g.circles)
-    else:
-        # deleting e is proper when contracting it in g* is
-        star = geometric_dual(g) if family is MinorFamily.EVEN_FACE else None
-        moves = [MinorMove("delete", (e,)) for e in g.labels
-                 if star is None or is_proper_contraction(star, e)] + comp_dels
-        split, step, counts = "split-face", 2, (w.n_edge_segments() for w in trace_boundaries(g))
-    return (*moves, *(MinorMove(split, (i, step * a, step * b))
-                      for i, m in enumerate(counts) for a, b in _even_pairs(m)))
+        return _Moves(tuple(moves), "split-vertex", 1, map(len, g.circles))
+    # deleting e is proper when contracting it in g* is
+    star = geometric_dual(g) if family is MinorFamily.EVEN_FACE else None
+    moves = [MinorMove("delete", (e,)) for e in g.labels
+             if star is None or is_proper_contraction(star, e)] + comp_dels
+    return _Moves(tuple(moves), "split-face", 2, (w.n_edge_segments() for w in trace_boundaries(g)))
 
 
 # ---------------------------------------------------------------------------

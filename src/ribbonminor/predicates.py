@@ -49,7 +49,8 @@ def checkerboard_colouring(g: ArrowPresentation) -> dict[int, int] | None:
     for fi, word in enumerate(faces):
         for lab, _ in word:
             sides.setdefault(lab, []).append(fi)
-    return _traverse(len(faces), sides.values())[1]
+    colour = _traverse(len(faces), sides.values())[1]
+    return None if colour is None else dict(enumerate(colour))
 
 
 def is_checkerboard_colourable(g: ArrowPresentation) -> bool:

@@ -10,6 +10,7 @@ footer.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -261,10 +262,10 @@ def verify_theorem(check_id: str, spec: EnumerationSpec = EnumerationSpec()) -> 
 
 def _move_check(g, moves, violates) -> tuple[int, int]:
     """(moves checked, violations): each of ``moves`` applied to g, and how
-    many of them give a result h with ``violates(g, h)``.  A move listed
-    twice is applied once and counted twice."""
-    verdicts = {mv: violates(g, mv.apply(g)) for mv in dict.fromkeys(moves)}
-    return len(moves), sum(verdicts[mv] for mv in moves)
+    many of them give a result h with ``violates(g, h)``.  The moves are
+    read once; a move listed twice is applied once and counted twice."""
+    listed = Counter(moves)
+    return sum(listed.values()), sum(n for mv, n in listed.items() if violates(g, mv.apply(g)))
 
 
 def _raises_genus(g, h) -> bool:
@@ -323,11 +324,11 @@ def _transport_check(g, family, dual_family) -> tuple[int, int]:
 # lemma's class.  Lambdas, as in CHECKS, look the predicates up when called.
 LEMMAS = {
     "cc-closure": lambda g: _move_check(
-        g, applicable_moves(g, MinorFamily.CHECKERBOARD) + applicable_moves(g, MinorFamily.EULERIAN),
+        g, (*applicable_moves(g, MinorFamily.CHECKERBOARD), *applicable_moves(g, MinorFamily.EULERIAN)),
         lambda _, h: not is_checkerboard_colourable(h),
     ) if is_checkerboard_colourable(g) else None,
     "bipartite-closure": lambda g: _move_check(
-        g, applicable_moves(g, MinorFamily.BIPARTITE) + applicable_moves(g, MinorFamily.EVEN_FACE),
+        g, (*applicable_moves(g, MinorFamily.BIPARTITE), *applicable_moves(g, MinorFamily.EVEN_FACE)),
         lambda _, h: not is_bipartite(h),
     ) if is_bipartite(g) else None,
     "genus-contract-delete": lambda g: _move_check(

@@ -14,7 +14,8 @@ the literal vertex and face splits, the counted face-split gate and the
 trivial-loop test; the arcs of a boundary walk or a circle, counted item by item, as the
 reference for every distance and parity gate; the minor search with its
 first, start-dependent caps; and move generation by the public gates, and
-contraction through the partial dual, as first written; and the witnesses
+contraction through the partial dual, as first written; the read-only
+sequence contract of a move list, checked against its tuple; and the witnesses
 the reach pass leaves in ``_contains_cache``, replayed move by move through
 those routes, the join family's literal vertex deletion and join included.
 """
@@ -22,6 +23,7 @@ those routes, the join family's literal vertex deletion and join included.
 from __future__ import annotations
 
 from collections import defaultdict, deque
+from collections.abc import MutableSequence, Sequence
 from itertools import combinations, permutations
 from typing import Iterable
 
@@ -950,6 +952,25 @@ def applicable_moves_by_gates(g: ArrowPresentation, family: MinorFamily) -> tupl
             if is_permissible_join(g, c1, c2)
         ]
     return tuple(moves)
+
+
+def assert_move_sequence(moves) -> tuple[MinorMove, ...]:
+    """A move list keeps the contract of a read-only tuple: len, every index
+    k and -k - 1, and iteration agree, an index past either end raises
+    IndexError, and no item can be assigned.  Returns the moves as a tuple."""
+    listed = tuple(moves)
+    n = len(moves)
+    assert isinstance(moves, Sequence) and not isinstance(moves, MutableSequence)
+    assert len(listed) == n
+    assert [moves[k] for k in range(n)] == list(listed)
+    assert [moves[-k - 1] for k in range(n)] == list(reversed(listed))
+    for k in (n, -n - 1):
+        try:
+            moves[k]
+        except IndexError:
+            continue
+        raise AssertionError(f"index {k} of {n} moves raised no IndexError")
+    return listed
 
 
 def contract_via_partial_dual(g: ArrowPresentation, e: str) -> ArrowPresentation:

@@ -1,4 +1,5 @@
 import hashlib
+import os
 import sys
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from ribbonminor import (
     ArpError,
     MinorFamily,
+    MinorMove,
     applicable_moves,
     bipartite_by_even_face_minors,
     bipartite_by_excluded_minors,
@@ -30,6 +32,7 @@ from ribbonminor import ArrowPresentation, duality, minor_search
 from ribbonminor.verify import EnumerationSpec, enumerate_presentations
 from oracles import (
     applicable_moves_by_gates,
+    assert_move_sequence,
     capped_minor_search,
     nx_same_underlying_graph,
     reach_witness,
@@ -63,8 +66,8 @@ def test_applicable_moves_eulerian_excludes_improper_contractions():
 def test_applicable_moves_deterministic(sweep2):
     for g in sweep2:
         for fam in MinorFamily:
-            first = applicable_moves(g, fam)
-            assert first == applicable_moves(g, fam)
+            first = tuple(applicable_moves(g, fam))
+            assert first == tuple(applicable_moves(g, fam))
             assert len(set(first)) == len(first)
 
 
@@ -80,7 +83,7 @@ def test_applicable_moves_match_gate_by_gate_reference(sweep3):
     for g in sweep3:
         for h in _with_isolated_circles(g):
             for fam in MinorFamily:
-                assert applicable_moves(h, fam) == applicable_moves_by_gates(h, fam), (h, fam)
+                assert assert_move_sequence(applicable_moves(h, fam)) == applicable_moves_by_gates(h, fam), (h, fam)
     # the disconnected classes pin where component deletions fall among
     # the other moves when two or more components carry edges
     disconnected = enumerate_presentations(EnumerationSpec(3, 4, False))
@@ -89,7 +92,7 @@ def test_applicable_moves_match_gate_by_gate_reference(sweep3):
     assert (len(disconnected), sum(k > 1 for k in carrying)) == (349, 95)
     for g in disconnected:
         for fam in MinorFamily:
-            assert applicable_moves(g, fam) == applicable_moves_by_gates(g, fam), (g, fam)
+            assert assert_move_sequence(applicable_moves(g, fam)) == applicable_moves_by_gates(g, fam), (g, fam)
 
 
 def test_even_face_moves_dualise_at_most_once(sweep3, monkeypatch):
@@ -118,14 +121,63 @@ def test_even_face_moves_dualise_at_most_once(sweep3, monkeypatch):
 
 def test_even_pairs_list_what_the_cut_rule_accepts():
     # every gap pair of a circle with m arrows, and every pair of vertex
-    # line segments of a walk with m edge line segments (length 2m, or 1)
+    # line segments of a walk with m edge line segments (length 2m, or 1);
+    # and the closed forms that count them and find the j-th
     from ribbonminor.minor_ops import _cut, _not_both_odd
 
-    for m in range(25):
+    for m in range(65):
         pairs = [(a, b) for a in range(max(m, 1)) for b in range(a, max(m, 1))]
         listed = list(minor_search._even_pairs(m))
         assert listed == [(a, b) for a, b in pairs if _not_both_odd(_cut(2 * m, 2 * a, 2 * b))], m
         assert listed == [(a, b) for a, b in pairs if _not_both_odd(_cut(2 * m or 1, 2 * a, 2 * b))], m
+        assert minor_search._even_count(m) == len(listed), m
+        assert [minor_search._even_pair(m, j) for j in range(len(listed))] == listed, m
+
+
+def _move_list_pins():
+    with open(os.path.join(os.path.dirname(__file__), "moves_e4.sha256"), encoding="ascii") as fh:
+        pairs = [line.split() for line in fh]
+    return {name.removeprefix("moves-").removesuffix(".out"): digest for digest, name in pairs}
+
+
+def test_move_lists_match_four_edge_pins():
+    # every move of every family on the 591 classes of at most 4 edges, as
+    # text, recorded when the lists were tuples built in full
+    classes = enumerate_presentations(EnumerationSpec(4))
+    assert len(classes) == 591
+    pins = _move_list_pins()
+    assert list(pins) == [fam.value for fam in MinorFamily]
+    for fam in MinorFamily:
+        text = "\n".join(f"{g.to_text()}: " + "; ".join(map(str, assert_move_sequence(applicable_moves(g, fam))))
+                         for g in classes)
+        assert hashlib.sha256(text.encode()).hexdigest() == pins[fam.value], fam
+
+
+def test_move_lists_build_splits_only_where_read(monkeypatch):
+    # 32 interleaved loops on one circle of 64 arrows: 1,056 vertex splits
+    # in the Eulerian and cc lists, face splits over its walks in the others
+    built = []
+
+    def counting(kind, params):
+        if kind.startswith("split"):
+            built.append(params)
+        return MinorMove(kind, params)
+
+    monkeypatch.setattr(minor_search, "MinorMove", counting)
+    labels = [f"e{i}+" for i in range(32)]
+    bouquet = P("(" + " ".join(labels + labels) + ")")
+    for fam in MinorFamily:
+        built.clear()
+        moves = applicable_moves(bouquet, fam)
+        assert len(moves) > 0 and built == [], fam
+        next(iter(moves))
+        assert len(built) <= 1, fam
+        built.clear()
+        assert moves[-1] == moves[len(moves) - 1], fam
+        assert len(built) == (0 if fam is MinorFamily.BIPARTITE_JOIN else 2), fam
+    built.clear()
+    splits =[mv for mv in applicable_moves(bouquet, MinorFamily.EULERIAN) if mv.kind == "split-vertex"]
+    assert len(splits) == len(built) == 1056
 
 
 # -- containment -------------------------------------------------------------------
@@ -505,7 +557,7 @@ def test_every_family_name_is_accepted_everywhere():
     for fam, names in _FAMILY_NAMES.items():
         for name in names:
             assert MinorFamily(name) is MinorFamily.parse(name) is fam, name
-            assert applicable_moves(g, name) == applicable_moves(g, fam), name
+            assert tuple(applicable_moves(g, name)) == tuple(applicable_moves(g, fam)), name
             assert contains_minor(g, h, name) == contains_minor(g, h, fam), name
             assert minor_witness(g, h, name) == minor_witness(g, h, fam), name
 

@@ -38,6 +38,7 @@ from oracles import (
     _encode_circle,
     applicable_moves_by_gates,
     assert_cuts_match_counted,
+    assert_move_sequence,
     assert_moves_match_partial_dual_route,
     assert_walks_alternate,
     can_split_face_counted,
@@ -55,8 +56,8 @@ from oracles import (
 
 
 @st.composite
-def presentations(draw, max_edges=3, max_circles=3):
-    n_edges = draw(st.integers(0, max_edges))
+def presentations(draw, max_edges=3, max_circles=3, min_edges=0):
+    n_edges = draw(st.integers(min_edges, max_edges))
     n_circles = draw(st.integers(1, max_circles))
     slots = []
     for i in range(n_edges):
@@ -347,7 +348,17 @@ def test_positional_reading_matches_counted_arcs_up_to_12_edges(g):
 @given(presentations(max_edges=12, max_circles=6))
 def test_move_generation_matches_gate_by_gate_reference_up_to_12_edges(g):
     for fam in MinorFamily:
-        assert applicable_moves(g, fam) == applicable_moves_by_gates(g, fam), fam
+        assert assert_move_sequence(applicable_moves(g, fam)) == applicable_moves_by_gates(g, fam), fam
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.one_of(presentations(max_edges=32, max_circles=6),
+                 presentations(max_edges=32, max_circles=1, min_edges=32)))
+def test_move_lists_are_read_only_sequences_up_to_32_edges(g):
+    # the second strategy puts 32 edges on one circle of 64 arrows, the
+    # longest circle and walks the split counts and the bisection see
+    for fam in MinorFamily:
+        assert_move_sequence(applicable_moves(g, fam))
 
 
 @settings(max_examples=50, deadline=None)

@@ -284,7 +284,7 @@ def test_laws_no_lemma_id_checks():
 def test_move_check_applies_each_distinct_move_once():
     # cc-closure lists the Eulerian moves again after the cc ones
     g = P("(a+ b+ a+ b-)(c+ c-)")
-    moves = applicable_moves(g, MinorFamily.CHECKERBOARD) + applicable_moves(g, MinorFamily.EULERIAN)
+    moves = (*applicable_moves(g, MinorFamily.CHECKERBOARD), *applicable_moves(g, MinorFamily.EULERIAN))
     results = []
     assert _move_check(g, moves, lambda _, h: results.append(h) or True) == (len(moves), len(moves))
     assert len(results) == len(set(moves)) < len(moves)
