@@ -18,7 +18,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Container, Iterable, NamedTuple, Union
+from typing import Container, Iterable, Iterator, NamedTuple, Union
 
 __all__ = [
     "ArpError",
@@ -404,6 +404,19 @@ def _faces(g: ArrowPresentation, jumped: Container[str]) -> list[Circle]:
     cycles, first = _walk(g, jumped)
     labels = g.labels
     return [tuple((labels[(i - first) >> 1], d) for i, d in cycle[1::2]) for cycle in cycles]
+
+
+def _sides(g: ArrowPresentation) -> tuple[int, Iterator[tuple[int, int]]]:
+    """The number of boundary components of g and, for each label in order,
+    the two components its sides lie on: the cycles of :func:`_walk`, with
+    every label jumped, that hold edge arcs ``first + 2i`` and ``first + 2i
+    + 1`` of label i."""
+    cycles, first = _walk(g, g.occurrences)
+    face = [0] * (2 * g.n_edges)
+    for fi, cycle in enumerate(cycles):
+        for arc, _ in cycle[1::2]:
+            face[arc - first] = fi
+    return len(cycles), zip(face[::2], face[1::2])
 
 
 @lru_cache(maxsize=None)

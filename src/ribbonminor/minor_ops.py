@@ -163,12 +163,19 @@ def vls_dual_distance(g: ArrowPresentation, circle: int, p: int, q: int) -> int:
     return min(_gap_cut(g, circle, p, q))
 
 
-def _resolve_position(b: BoundaryComponent, s: Union[Segment, int]) -> int:
-    if isinstance(s, int):
-        if type(s) is not int or not 0 <= s < len(b.segments):
-            raise ArpError(f"invalid boundary position {s!r}")
-        return s
-    return b.position_of(s)
+def _boundary(g: ArrowPresentation, b: int) -> BoundaryComponent:
+    """Boundary component b of g, for a valid walk index b."""
+    boundaries = trace_boundaries(g)
+    if type(b) is not int or not 0 <= b < len(boundaries):
+        raise ArpError(f"unknown boundary component {b!r}")
+    return boundaries[b]
+
+
+def _position(walk: BoundaryComponent, s: int) -> int:
+    """s, for a valid integer position on the walk."""
+    if type(s) is not int or not 0 <= s < len(walk.segments):
+        raise ArpError(f"invalid boundary position {s!r}")
+    return s
 
 
 def boundary_distance(
@@ -177,11 +184,8 @@ def boundary_distance(
     """Fewest edge line segments strictly between s and t along the boundary
     component b, either way round.  s and t may be segments or positions."""
     if isinstance(b, int):
-        boundaries = trace_boundaries(g)
-        if type(b) is not int or not 0 <= b < len(boundaries):
-            raise ArpError(f"unknown boundary component {b!r}")
-        b = boundaries[b]
-    return min(_cut(len(b), _resolve_position(b, s), _resolve_position(b, t)))
+        b = _boundary(g, b)
+    return min(_cut(len(b), *(_position(b, x) if isinstance(x, int) else b.position_of(x) for x in (s, t))))
 
 
 # ---------------------------------------------------------------------------
@@ -205,14 +209,14 @@ def is_proper_contraction(g: ArrowPresentation, e: str) -> bool:
     is simply that the dual distance is odd; requiring both groups odd
     extends it coherently to odd-degree vertices.
     """
-    _check_label(g, e)
+    # is_orientable_loop checks the label
     return not is_orientable_loop(g, e) or _not_both_odd(_loop_cut(g, e))
 
 
 def is_proper_deletion(g: ArrowPresentation, e: str) -> bool:
     """Deletion is proper exactly when contracting the corresponding edge of
     the geometric dual is proper."""
-    _check_label(g, e)
+    # the dual has g's labels, so the contraction test checks the label
     return is_proper_contraction(geometric_dual(g), e)
 
 
@@ -259,16 +263,11 @@ def can_split_face(g: ArrowPresentation, b: int, p: int, q: int) -> bool:
     split: both must be vertex line segments, and the two arcs between them
     must not both carry an odd number of edge line segments (on an even
     boundary component this is exactly evenness of the distance)."""
-    boundaries = trace_boundaries(g)
-    if type(b) is not int or not 0 <= b < len(boundaries):
-        raise ArpError(f"unknown boundary component {b!r}")
-    n = len(boundaries[b])
+    walk = _boundary(g, b)
     for pos in (p, q):
-        if type(pos) is not int or not 0 <= pos < n:
-            raise ArpError(f"invalid boundary position {pos!r}")
-        if pos % 2:
+        if _position(walk, pos) % 2:
             raise ArpError(f"position {pos} is not a vertex line segment")
-    return _not_both_odd(_cut(n, p, q))
+    return _not_both_odd(_cut(len(walk), p, q))
 
 
 def split_face(g: ArrowPresentation, b: int, p: int, q: int) -> ArrowPresentation:
@@ -336,16 +335,21 @@ def split_face(g: ArrowPresentation, b: int, p: int, q: int) -> ArrowPresentatio
 # ---------------------------------------------------------------------------
 
 
+def _check_pair(g: ArrowPresentation, c1: int, c2: int) -> None:
+    """c1 and c2 must be two distinct circles of g, as a join takes them."""
+    g._check_circle(c1)
+    g._check_circle(c2)
+    if c1 == c2:
+        raise ArpError("cannot join a circle with itself")
+
+
 def join_vertices(g: ArrowPresentation, c1: int, c2: int) -> ArrowPresentation:
     """Merge two vertex discs by splicing their circles at position 0.
 
     The splice position is immaterial for everything built on the underlying
     abstract graph, so a single canonical choice is used.
     """
-    g._check_circle(c1)
-    g._check_circle(c2)
-    if c1 == c2:
-        raise ArpError("cannot join a circle with itself")
+    _check_pair(g, c1, c2)
     i, j = sorted((c1, c2))
     merged = g.circles[c1] + g.circles[c2]
     circles = list(g.circles)
@@ -356,10 +360,7 @@ def join_vertices(g: ArrowPresentation, c1: int, c2: int) -> ArrowPresentation:
 
 def is_permissible_join(g: ArrowPresentation, c1: int, c2: int) -> bool:
     """True when some third, distinct vertex neighbours both c1 and c2."""
-    g._check_circle(c1)
-    g._check_circle(c2)
-    if c1 == c2:
-        raise ArpError("cannot join a circle with itself")
+    _check_pair(g, c1, c2)
     ug = underlying_graph(g)
     common = ug.neighbors(c1) & ug.neighbors(c2)
     return bool(common - {c1, c2})

@@ -10,7 +10,7 @@ genus zero).
 
 from __future__ import annotations
 
-from .arrow_core import ArrowPresentation, _edge_ends, _faces, _traverse, euler_genus, trace_boundaries
+from .arrow_core import ArrowPresentation, _edge_ends, _sides, _traverse, euler_genus, trace_boundaries
 
 __all__ = [
     "checkerboard_colouring",
@@ -42,14 +42,8 @@ def checkerboard_colouring(g: ArrowPresentation) -> dict[int, int] | None:
     boundary index of each component of the constraint multigraph gets
     colour 0, which makes the colouring unique.
     """
-    # the faces of trace_boundaries, in its order, traced without its cache;
-    # each label's two sides are the two places it occurs in the words
-    faces = _faces(g, g.occurrences)
-    sides: dict[str, list[int]] = {}
-    for fi, word in enumerate(faces):
-        for lab, _ in word:
-            sides.setdefault(lab, []).append(fi)
-    colour = _traverse(len(faces), sides.values())[1]
+    # the faces of trace_boundaries, in its order, traced without its cache
+    colour = _traverse(*_sides(g))[1]
     return None if colour is None else dict(enumerate(colour))
 
 

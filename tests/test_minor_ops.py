@@ -83,6 +83,18 @@ def test_move_error_messages_unchanged():
     with pytest.raises(ArpError) as err:
         split_vertex(P("(a+ b+ a+ b+)"), 0, 0, 1)
     assert str(err.value) == "dual distance is odd"
+    calls = [
+        (lambda: MinorMove("nope", ()).apply(g), "unknown move kind 'nope'"),
+        (lambda: MinorMove.parse(""), "empty move line"),
+        (lambda: MinorMove.parse("nope 1"), "unknown move kind 'nope'"),
+        (lambda: join_vertices(P("(a+)(a+)"), 0, 0), "cannot join a circle with itself"),
+        (lambda: is_permissible_join(g, 0, 0), "cannot join a circle with itself"),
+        (lambda: is_permissible_join(g, 0, 1), "unknown circle id 1"),
+    ]
+    for call, message in calls:
+        with pytest.raises(ArpError) as err:
+            call()
+        assert str(err.value) == message
 
 
 def test_labels_that_are_not_strings_are_not_present():
@@ -403,6 +415,9 @@ def test_distances_reject_bool_parameters():
         (lambda: boundary_distance(g, True, 0, 0), "unknown boundary component True"),
         (lambda: boundary_distance(g, 0, 0, True), "invalid boundary position True"),
         (lambda: can_split_face(g, 0, False, 0), "invalid boundary position False"),
+        # a face split takes positions only, never a segment
+        (lambda: can_split_face(g, 0, 0, trace_boundaries(g)[0].segments[0]),
+         "invalid boundary position VertexLineSegment(circle=0, gap=0)"),
     ]
     for call, message in calls:
         with pytest.raises(ArpError) as err:
