@@ -182,8 +182,9 @@ def boundary_distance(
     g: ArrowPresentation, b: Union[BoundaryComponent, int], s: Union[Segment, int], t: Union[Segment, int]
 ) -> int:
     """Fewest edge line segments strictly between s and t along the boundary
-    component b, either way round.  s and t may be segments or positions."""
-    if isinstance(b, int):
+    component b, either way round.  b may be a walk or a walk index, and s
+    and t segments or positions."""
+    if not isinstance(b, BoundaryComponent):
         b = _boundary(g, b)
     return min(_cut(len(b), *(_position(b, x) if isinstance(x, int) else b.position_of(x) for x in (s, t))))
 

@@ -16,7 +16,10 @@ state reaches *some* target of a list, in one depth-first pass per list
 that stops at the first successor that reaches and records True and False
 for every state it settles.  :func:`contains_minor` is the pass on a
 one-target list, and every excluded-minor predicate, the join family's
-included, is the pass on its catalog list.  :func:`minor_witness` only
+included, is the pass on its catalog list.  Each characterisation, its
+class, its domain and one target list per family, is one row of
+``_CHARACTERISATIONS``, which the predicates, ``verify.CHECKS`` and the
+catalog's soundness check all read.  :func:`minor_witness` only
 builds shortest witnesses, by breadth-first search; the pruning rule both
 share is proved there, and the pass's termination in :func:`_reaches_any`.
 
@@ -397,20 +400,19 @@ def replay_witness(g: ArrowPresentation, moves) -> ArrowPresentation:
 
 
 def _validate_catalog(cat: dict[str, ArrowPresentation]) -> None:
-    checks = [
-        ("single_edge not checkerboard colourable", not is_checkerboard_colourable(cat["single_edge"])),
-        ("nonorientable_loop not checkerboard colourable", not is_checkerboard_colourable(cat["nonorientable_loop"])),
-        ("double_interleaved_loops not checkerboard colourable", not is_checkerboard_colourable(cat["double_interleaved_loops"])),
-        ("orientable_loop not bipartite", not is_bipartite(cat["orientable_loop"])),
-        ("nonorientable_loop not bipartite", not is_bipartite(cat["nonorientable_loop"])),
-        ("triple_interleaved_loops checkerboard colourable", is_checkerboard_colourable(cat["triple_interleaved_loops"])),
-        ("triple_interleaved_loops not plane", not is_plane(cat["triple_interleaved_loops"])),
-        ("twisted_interleaved_loops checkerboard colourable", is_checkerboard_colourable(cat["twisted_interleaved_loops"])),
-        ("twisted_interleaved_loops not plane", not is_plane(cat["twisted_interleaved_loops"])),
-        ("triple_interleaved_loops genus 2", euler_genus(cat["triple_interleaved_loops"]) == 2),
-        ("twisted_interleaved_loops genus 1", euler_genus(cat["twisted_interleaved_loops"]) == 1),
-    ]
-    bad = [name for name, ok in checks if not ok]
+    """Raise RuntimeError unless every target that a list of
+    :data:`_CHARACTERISATIONS` names lies in its row's domain and outside
+    its class, and the two loops of the plane lists have Euler genus 2 and
+    1."""
+    bad = []
+    for cls, (domain, member, lists) in _CHARACTERISATIONS.items():
+        for name in dict.fromkeys(n for names in lists.values() for n in names):
+            if domain is not None and not domain(cat[name]):
+                bad.append(f"{name} outside the domain of {cls}")
+            if member(cat[name]):
+                bad.append(f"{name} in {cls}")
+    genera = {"triple_interleaved_loops": 2, "twisted_interleaved_loops": 1}
+    bad += [f"{name} not genus {k}" for name, k in genera.items() if euler_genus(cat[name]) != k]
     if bad:
         raise RuntimeError("target catalog invariant violated: " + "; ".join(bad))
 
@@ -532,82 +534,96 @@ def _reaches_any(g: ArrowPresentation, family: MinorFamily, targets) -> bool:
     return False
 
 
-def _excludes(g: ArrowPresentation, family: MinorFamily, names: tuple[str, ...]) -> bool:
+#: class -> (domain or None, class predicate, {family: target names}), one
+#: row per excluded-minor characterisation: a presentation in the domain
+#: (any, for None) is in the class exactly when it has no minor of the
+#: family equivalent to a target of the family's list.  The reach pass
+#: decides that soundly only for targets in the domain and outside the
+#: class, which :func:`_validate_catalog` checks of every list.  A row's
+#: families are in the order a wrong family's error names them.
+_CHARACTERISATIONS = {
+    "cc": (None, is_checkerboard_colourable, {
+        MinorFamily.CHECKERBOARD: ("single_edge", "nonorientable_loop"),
+        MinorFamily.EULERIAN: ("single_edge", "nonorientable_loop", "double_interleaved_loops")}),
+    "bipartite": (None, is_bipartite, {
+        MinorFamily.BIPARTITE: ("orientable_loop", "nonorientable_loop"),
+        MinorFamily.EVEN_FACE: ("orientable_loop", "nonorientable_loop", "double_interleaved_loops"),
+        MinorFamily.BIPARTITE_JOIN: ("orientable_loop", "nonorientable_loop")}),
+    "plane cc": (is_checkerboard_colourable, is_plane, dict.fromkeys(
+        (MinorFamily.CHECKERBOARD, MinorFamily.EULERIAN),
+        ("triple_interleaved_loops", "twisted_interleaved_loops"))),
+    "plane bipartite": (is_bipartite, is_plane, dict.fromkeys(
+        (MinorFamily.BIPARTITE, MinorFamily.EVEN_FACE),
+        ("triple_interleaved_loops_dual", "twisted_interleaved_loops_dual"))),
+    "cc plane": (None, lambda g: is_checkerboard_colourable(g) and is_plane(g), {
+        MinorFamily.CHECKERBOARD: ("single_edge", "nonorientable_loop", "triple_interleaved_loops",
+                                   "twisted_interleaved_loops"),
+        MinorFamily.EULERIAN: ("single_edge", "nonorientable_loop", "triple_interleaved_loops",
+                               "double_interleaved_loops", "twisted_interleaved_loops")}),
+    "bipartite plane": (None, lambda g: is_bipartite(g) and is_plane(g), {
+        MinorFamily.BIPARTITE: ("orientable_loop", "nonorientable_loop", "triple_interleaved_loops_dual",
+                                "twisted_interleaved_loops_dual"),
+        MinorFamily.EVEN_FACE: ("orientable_loop", "nonorientable_loop", "triple_interleaved_loops_dual",
+                                "double_interleaved_loops", "twisted_interleaved_loops_dual")}),
+}
+
+
+def _excludes(g: ArrowPresentation, cls: str, family: str) -> bool:
+    """Whether g has no family minor equivalent to a target of the list
+    that class ``cls``'s row gives the family; a family the row lacks is an
+    ArpError naming the row's families."""
+    lists = _CHARACTERISATIONS[cls][2]
+    fam = MinorFamily(family)
+    if fam not in lists:
+        raise ArpError("family must be " + " or ".join(repr(f.value) for f in lists))
     cat = target_catalog()
-    return not _reaches_any(g, family, [cat[n] for n in names])
+    return not _reaches_any(g, fam, [cat[n] for n in lists[fam]])
 
 
 def cc_by_excluded_minors(g: ArrowPresentation) -> bool:
     """Checkerboard colourability via excluded checkerboard-colourable
     minors: no minor equivalent to the single edge or the twisted loop."""
-    return _excludes(g, MinorFamily.CHECKERBOARD, ("single_edge", "nonorientable_loop"))
+    return _excludes(g, "cc", "cc")
 
 
 def cc_by_excluded_eulerian_minors(g: ArrowPresentation) -> bool:
     """Checkerboard colourability via excluded Eulerian minors."""
-    return _excludes(
-        g, MinorFamily.EULERIAN, ("single_edge", "nonorientable_loop", "double_interleaved_loops")
-    )
+    return _excludes(g, "cc", "eulerian")
 
 
 def bipartite_by_excluded_minors(g: ArrowPresentation) -> bool:
     """Bipartiteness via excluded bipartite minors."""
-    return _excludes(g, MinorFamily.BIPARTITE, ("orientable_loop", "nonorientable_loop"))
+    return _excludes(g, "bipartite", "bipartite")
 
 
 def bipartite_by_even_face_minors(g: ArrowPresentation) -> bool:
     """Bipartiteness via excluded even-face minors."""
-    return _excludes(
-        g, MinorFamily.EVEN_FACE, ("orientable_loop", "nonorientable_loop", "double_interleaved_loops")
-    )
+    return _excludes(g, "bipartite", "even-face")
 
 
 def bipartite_by_join_minors(g: ArrowPresentation) -> bool:
     """Bipartiteness via excluded join minors (abstract-graph equivalence)."""
-    return _excludes(g, MinorFamily.BIPARTITE_JOIN, ("orientable_loop", "nonorientable_loop"))
-
-
-def _excludes_listed(g: ArrowPresentation, family: str, lists: dict) -> bool:
-    """_excludes with the target list that ``lists`` gives the family; any
-    other family is an ArpError naming the allowed ones in the dict's order."""
-    fam = MinorFamily.parse(family)
-    if fam not in lists:
-        raise ArpError("family must be " + " or ".join(repr(f.value) for f in lists))
-    return _excludes(g, fam, lists[fam])
-
-
-_PLANE_CC_TARGETS = ("triple_interleaved_loops", "twisted_interleaved_loops")
-_PLANE_BIP_TARGETS = ("triple_interleaved_loops_dual", "twisted_interleaved_loops_dual")
+    return _excludes(g, "bipartite", "join")
 
 
 def plane_cc_by_excluded_minors(g: ArrowPresentation, family: str = "cc") -> bool:
     """For checkerboard colourable g: planarity via excluded minors of the
     checkerboard-colourable (default) or Eulerian family."""
-    return _excludes_listed(g, family, {MinorFamily.CHECKERBOARD: _PLANE_CC_TARGETS,
-                                        MinorFamily.EULERIAN: _PLANE_CC_TARGETS})
+    return _excludes(g, "plane cc", family)
 
 
 def plane_bipartite_by_excluded_minors(g: ArrowPresentation, family: str = "bipartite") -> bool:
     """For bipartite g: planarity via excluded minors of the bipartite
     (default) or even-face family."""
-    return _excludes_listed(g, family, {MinorFamily.BIPARTITE: _PLANE_BIP_TARGETS,
-                                        MinorFamily.EVEN_FACE: _PLANE_BIP_TARGETS})
+    return _excludes(g, "plane bipartite", family)
 
 
 def cc_plane_by_excluded_minors(g: ArrowPresentation, family: str = "cc") -> bool:
     """Checkerboard colourable *and* plane, via a single enlarged exclusion
     list, with no precondition on g."""
-    return _excludes_listed(g, family, {
-        MinorFamily.CHECKERBOARD: ("single_edge", "nonorientable_loop", *_PLANE_CC_TARGETS),
-        MinorFamily.EULERIAN: ("single_edge", "nonorientable_loop", "triple_interleaved_loops",
-                               "double_interleaved_loops", "twisted_interleaved_loops"),
-    })
+    return _excludes(g, "cc plane", family)
 
 
 def bipartite_plane_by_excluded_minors(g: ArrowPresentation, family: str = "bipartite") -> bool:
     """Bipartite *and* plane, via a single enlarged exclusion list."""
-    return _excludes_listed(g, family, {
-        MinorFamily.BIPARTITE: ("orientable_loop", "nonorientable_loop", *_PLANE_BIP_TARGETS),
-        MinorFamily.EVEN_FACE: ("orientable_loop", "nonorientable_loop", "triple_interleaved_loops_dual",
-                                "double_interleaved_loops", "twisted_interleaved_loops_dual"),
-    })
+    return _excludes(g, "bipartite plane", family)

@@ -27,20 +27,8 @@ from .arrow_core import (
 )
 from .duality import _dual_words, geometric_dual
 from .minor_ops import MinorMove
-from .minor_search import (
-    MinorFamily,
-    applicable_moves,
-    bipartite_by_even_face_minors,
-    bipartite_by_excluded_minors,
-    bipartite_by_join_minors,
-    bipartite_plane_by_excluded_minors,
-    cc_by_excluded_eulerian_minors,
-    cc_by_excluded_minors,
-    cc_plane_by_excluded_minors,
-    plane_bipartite_by_excluded_minors,
-    plane_cc_by_excluded_minors,
-)
-from .predicates import is_bipartite, is_checkerboard_colourable, is_plane
+from .minor_search import _CHARACTERISATIONS, MinorFamily, _excludes, applicable_moves
+from .predicates import is_bipartite, is_checkerboard_colourable
 
 __all__ = [
     "CHECKS",
@@ -192,39 +180,34 @@ class VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def _agreed(a: bool, b: bool) -> bool | None:
-    """The answer two families both give, or None, which no predicate
-    equals, when they differ: so T6 and T7 pass a row only when the
-    predicate equals each family's answer."""
-    return a if a == b else None
+def _agreed(*answers: bool) -> bool | None:
+    """The answer every family gives, or None, which no predicate equals,
+    when they differ: so T6 and T7 pass a row only when the predicate
+    equals each family's answer."""
+    return answers[0] if len(set(answers)) == 1 else None
+
+
+def _check(cls: str, *families: str):
+    """The CHECKS entry for the characterisation of class ``cls`` (a row of
+    minor_search's table) in ``families``: the row's domain and class
+    predicate, and the answer the families agree on."""
+    domain, predicate, _ = _CHARACTERISATIONS[cls]
+    return domain, predicate, lambda g: _agreed(*(_excludes(g, cls, f) for f in families))
 
 
 # id -> (domain restriction or None, class predicate, excluded-minor predicate)
 CHECKS = {
-    "T1": (None, is_checkerboard_colourable, cc_by_excluded_eulerian_minors),
-    "T2": (None, is_checkerboard_colourable, cc_by_excluded_minors),
-    "T3": (None, is_bipartite, bipartite_by_even_face_minors),
-    "T4": (None, is_bipartite, bipartite_by_excluded_minors),
-    "T5": (None, is_bipartite, bipartite_by_join_minors),
-    "T6": (
-        is_checkerboard_colourable,
-        is_plane,
-        lambda g: _agreed(plane_cc_by_excluded_minors(g, "cc"), plane_cc_by_excluded_minors(g, "eulerian")),
-    ),
-    "T7": (
-        is_bipartite,
-        is_plane,
-        lambda g: _agreed(plane_bipartite_by_excluded_minors(g, "bipartite"),
-                          plane_bipartite_by_excluded_minors(g, "even-face")),
-    ),
-    "C1": (None, lambda g: is_checkerboard_colourable(g) and is_plane(g),
-           lambda g: cc_plane_by_excluded_minors(g, "eulerian")),
-    "C2": (None, lambda g: is_checkerboard_colourable(g) and is_plane(g),
-           lambda g: cc_plane_by_excluded_minors(g, "cc")),
-    "C3": (None, lambda g: is_bipartite(g) and is_plane(g),
-           lambda g: bipartite_plane_by_excluded_minors(g, "even-face")),
-    "C4": (None, lambda g: is_bipartite(g) and is_plane(g),
-           lambda g: bipartite_plane_by_excluded_minors(g, "bipartite")),
+    "T1": _check("cc", "eulerian"),
+    "T2": _check("cc", "cc"),
+    "T3": _check("bipartite", "even-face"),
+    "T4": _check("bipartite", "bipartite"),
+    "T5": _check("bipartite", "join"),
+    "T6": _check("plane cc", "cc", "eulerian"),
+    "T7": _check("plane bipartite", "bipartite", "even-face"),
+    "C1": _check("cc plane", "eulerian"),
+    "C2": _check("cc plane", "cc"),
+    "C3": _check("bipartite plane", "even-face"),
+    "C4": _check("bipartite plane", "bipartite"),
 }
 
 
@@ -321,7 +304,7 @@ def _transport_check(g, family, dual_family) -> tuple[int, int]:
 
 
 # id -> g -> (moves checked, violations), or None when g is outside the
-# lemma's class.  Lambdas, as in CHECKS, look the predicates up when called.
+# lemma's class.  The lambdas look the predicates up when called.
 LEMMAS = {
     "cc-closure": lambda g: _move_check(
         g, (*applicable_moves(g, MinorFamily.CHECKERBOARD), *applicable_moves(g, MinorFamily.EULERIAN)),

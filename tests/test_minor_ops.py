@@ -414,6 +414,10 @@ def test_distances_reject_bool_parameters():
         (lambda: vls_dual_distance(g, 0, 0, True), "invalid position True (circle has 2 gaps)"),
         (lambda: boundary_distance(g, True, 0, 0), "unknown boundary component True"),
         (lambda: boundary_distance(g, 0, 0, True), "invalid boundary position True"),
+        (lambda: boundary_distance(g, 2, 0, 0), "unknown boundary component 2"),
+        # anything but a walk or a walk index is an unknown component too
+        *((lambda b=b: boundary_distance(g, b, 0, 0), f"unknown boundary component {b!r}")
+          for b in (0.0, None, "x", [0], trace_boundaries(g)[0].segments[0])),
         (lambda: can_split_face(g, 0, False, 0), "invalid boundary position False"),
         # a face split takes positions only, never a segment
         (lambda: can_split_face(g, 0, 0, trace_boundaries(g)[0].segments[0]),

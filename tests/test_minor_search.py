@@ -530,10 +530,21 @@ def test_catalog_is_read_only():
 def test_catalog_validation_rejects_wrong_catalog():
     from ribbonminor.minor_search import _validate_catalog
 
-    bad = dict(target_catalog())
-    bad["twisted_interleaved_loops"] = P("(a+ b+ a+ b+)")  # wrong: not cc, genus 2
-    with pytest.raises(RuntimeError, match="catalog invariant"):
-        _validate_catalog(bad)
+    # each target must lie in its row's domain and outside its class; each
+    # case names one reason the error must give (the first also has the
+    # wrong genus)
+    wrong = [
+        ("twisted_interleaved_loops", "(a+ b+ a+ b+)", "twisted_interleaved_loops outside the domain of plane cc"),
+        ("double_interleaved_loops", "(a+)(a+)", "double_interleaved_loops in bipartite"),
+        ("triple_interleaved_loops_dual", "(a+)(a+)", "triple_interleaved_loops_dual in plane bipartite"),
+        ("twisted_interleaved_loops_dual", "(a+ a+)(b+)(b+)",
+         "twisted_interleaved_loops_dual outside the domain of plane bipartite"),
+    ]
+    _validate_catalog(dict(target_catalog()))
+    for name, text, reason in wrong:
+        with pytest.raises(RuntimeError, match="^target catalog invariant violated: ") as err:
+            _validate_catalog({**target_catalog(), name: P(text)})
+        assert reason in str(err.value).split(": ", 1)[1].split("; "), name
 
 
 def test_family_parse_aliases():

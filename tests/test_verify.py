@@ -22,7 +22,15 @@ from ribbonminor import (
     verify_lemma,
     verify_theorem,
 )
-from ribbonminor.verify import _labelled, _move_check, _raises_genus, _same_classes, _transport_check
+from ribbonminor.verify import (
+    CHECKS,
+    LEMMAS,
+    _labelled,
+    _move_check,
+    _raises_genus,
+    _same_classes,
+    _transport_check,
+)
 from oracles import brute_equivalent, dedup_enumerate
 
 P = parse_arp
@@ -214,12 +222,21 @@ def test_verify_theorem_restricts_domain():
 ])
 @pytest.mark.parametrize("wrong", [0, 1])
 def test_two_family_checks_fail_a_row_when_either_family_disagrees(monkeypatch, check_id, name, families, wrong):
-    # one family made to give the wrong answer: every row fails, the
+    # one family made to give the wrong answer at the one entry point that
+    # the public predicate and the check both call: every row fails, the
     # non-plane ones too, where the other family already finds a minor
-    from ribbonminor import verify
+    from ribbonminor import minor_search, verify
 
-    right = getattr(verify, name)
-    monkeypatch.setattr(verify, name, lambda g, fam: right(g, fam) != (fam == families[wrong]))
+    right = minor_search._excludes
+
+    def flipped(g, cls, family):
+        return right(g, cls, family) != (MinorFamily(family) is MinorFamily(families[wrong]))
+
+    for module in (minor_search, verify):
+        monkeypatch.setattr(module, "_excludes", flipped)
+    loop = P("(e+ e+)")
+    public = getattr(minor_search, name)
+    assert public(loop, families[wrong]) != public(loop, families[1 - wrong])
     report = verify_theorem(check_id, EnumerationSpec(3))
     details = {r.detail for r in report.rows}
     assert details == {"predicate=true excluded_minor=none", "predicate=false excluded_minor=none"}
@@ -232,7 +249,6 @@ def test_class_membership_acts_one_component_at_a_time():
     # predicate of CHECKS hold of g exactly when they hold of each of its
     # components, and the Euler genus adds up over them
     from ribbonminor import euler_genus, is_plane, underlying_graph
-    from ribbonminor.verify import CHECKS
 
     predicates = [is_checkerboard_colourable, is_bipartite, is_plane,
                   *(excluded for _, _, excluded in CHECKS.values())]
@@ -362,22 +378,18 @@ def _pins(filename):
 
 
 def test_four_edge_pins_name_every_check():
-    from ribbonminor import CHECKS, LEMMAS
-
     pins = _pins("verify_e4.sha256")
     assert list(pins) == [*CHECKS, *LEMMAS]
     assert all(len(d) == 64 and int(d, 16) >= 0 for d in pins.values())
 
 
 def test_disconnected_three_edge_pins_name_every_check():
-    from ribbonminor import CHECKS, LEMMAS
-
     pins = _pins("verify_e3_disconnected.sha256")
     assert list(pins) == [*CHECKS, *LEMMAS]
     assert all(len(d) == 64 and int(d, 16) >= 0 for d in pins.values())
 
 
-@pytest.mark.parametrize("check_id", ["T1", "T2", "T3", "T4", "T5", "T6", "T7", "C1", "C2", "C3", "C4"])
+@pytest.mark.parametrize("check_id", list(CHECKS))
 def test_reach_pass_reports_match_four_edge_pins(check_id):
     # the reports of all eleven theorem ids, in process; CI compares all
     # eighteen, each from a cold CLI run
@@ -385,7 +397,15 @@ def test_reach_pass_reports_match_four_edge_pins(check_id):
     assert hashlib.sha256(text.encode()).hexdigest() == _pins("verify_e4.sha256")[check_id]
 
 
-@pytest.mark.parametrize("check_id", ["T1", "T2", "T3", "T4", "T5", "T6", "T7", "C1", "C2", "C3", "C4"])
+@pytest.mark.parametrize("lemma_id", list(LEMMAS))
+def test_lemma_reports_match_four_edge_pins(lemma_id):
+    # the seven lemma reports over the 591 connected classes of at most 4
+    # edges, in process; CI compares them from cold CLI runs as well
+    text = verify_lemma(lemma_id, EnumerationSpec(4)).to_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == _pins("verify_e4.sha256")[lemma_id]
+
+
+@pytest.mark.parametrize("check_id", list(CHECKS))
 def test_theorem_reports_match_disconnected_three_edge_pins(check_id):
     # the 349 classes of at most 3 edges, connected or not, so search states
     # carry isolated circles; CI compares the same reports from cold CLI runs
@@ -393,10 +413,7 @@ def test_theorem_reports_match_disconnected_three_edge_pins(check_id):
     assert hashlib.sha256(text.encode()).hexdigest() == _pins("verify_e3_disconnected.sha256")[check_id]
 
 
-@pytest.mark.parametrize("lemma_id", [
-    "cc-closure", "bipartite-closure", "genus-contract-delete", "genus-eulerian", "genus-cc",
-    "dual-transport-eulerian", "dual-transport-cc",
-])
+@pytest.mark.parametrize("lemma_id", list(LEMMAS))
 def test_lemma_reports_match_disconnected_three_edge_pins(lemma_id):
     # on disconnected classes the lemmas read components: the component
     # count of the Euler genus, and the component deletions
