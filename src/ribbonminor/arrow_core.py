@@ -51,6 +51,16 @@ class ArpError(ValueError):
     """Malformed arrow-presentation data or text."""
 
 
+def _lookup(table, key, what: str):
+    """``table[key]``, or an ArpError naming the unknown ``what`` for a key
+    that is missing or unhashable: the one failure path of every lookup of a
+    name (move kind, check id) in a table."""
+    try:
+        return table[key]
+    except (KeyError, TypeError):
+        raise ArpError(f"unknown {what} {key!r}") from None
+
+
 def _malformed(circles, circle, circ) -> str:
     """What the constructor reports when iterating ``circles`` or unpacking
     an arrow fails: ``circle`` is the circle being read and ``circ`` its
@@ -244,6 +254,8 @@ def parse_arp(text: str) -> ArrowPresentation:
     parenthesised circles, so the one-line form produced by
     :meth:`ArrowPresentation.to_text` parses too.
     """
+    if not isinstance(text, str):
+        raise ArpError(f"presentation text must be a str, not {type(text).__name__}")
     circles: list[Circle] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -486,12 +498,15 @@ class UnderlyingGraph:
         """Isomorphism-class key: minimal relabelled edge multiset.
 
         Brute-force over vertex permutations; intended for the small graphs
-        this library works with.
+        this library works with.  More than :data:`MAX_KEY_VERTICES`
+        vertices is an ArpError naming the join family, whose search states
+        are these keys.
         """
         from itertools import permutations
 
         if self.n_vertices > MAX_KEY_VERTICES:
-            raise ValueError(f"canonical_key supports at most {MAX_KEY_VERTICES} vertices")
+            raise ArpError(f"the join family compares underlying graphs, which is supported "
+                           f"for at most {MAX_KEY_VERTICES} vertices; got {self.n_vertices} vertices")
         pairs = self._pairs()
         best = None
         for perm in permutations(range(self.n_vertices)):

@@ -138,17 +138,6 @@ def _add_bounds(p: argparse.ArgumentParser) -> None:
     p.add_argument("--include-disconnected", action="store_true")
 
 
-_MOVE_HELP = {
-    "contract": "contract an edge",
-    "delete": "delete an edge",
-    "delete-component": "delete a connected component by index",
-    "split-vertex": "evenly split a vertex at two gaps",
-    "split-face": "evenly split a face at two vertex line segments",
-    "join": "join two vertices",
-    "delete-vertex": "delete a vertex and its incident edges",
-}
-
-
 @lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: every ``_cmd_*``
@@ -173,8 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edges", required=True, help="comma-separated edge labels")
     p.set_defaults(fn=_cmd_pdual)
 
-    for kind, (_, names) in MinorMove.KINDS.items():
-        p = sub.add_parser(kind, help=_MOVE_HELP[kind])
+    for kind, (_, names, help_) in MinorMove.KINDS.items():
+        p = sub.add_parser(kind, help=help_)
         for name in names:
             p.add_argument(name, type=str if name == "edge" else int)
         _add_input(p)
@@ -182,8 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("minor", help="decide minor containment; prints a witness")
     _add_input(p)
-    p.add_argument("--family", required=True,
-                   help="eulerian | even-face | cc | bipartite | join")
+    p.add_argument("--family", required=True, help=" | ".join(f.value for f in MinorFamily))
     p.add_argument("--target", required=True, help=".arp file with the target")
     p.set_defaults(fn=_cmd_minor)
 

@@ -19,6 +19,7 @@ from .arrow_core import (
     BoundaryComponent,
     Circle,
     Segment,
+    _lookup,
     _reversed,
     trace_boundaries,
     underlying_graph,
@@ -377,7 +378,8 @@ class MinorMove(NamedTuple):
 
     An immutable named tuple ``(kind, params)``: hashable and equal by
     value, and cheap to build in the bulk that move listing needs.
-    ``KINDS`` maps each kind to its move function and parameter names: an
+    ``KINDS`` maps each kind to its move function, its parameter names and
+    a one-line description, which the command line's help reads: an
     ``edge`` is a label, every other parameter is an integer (a component,
     circle or boundary index, or a gap or walk position).
     """
@@ -386,27 +388,27 @@ class MinorMove(NamedTuple):
     params: tuple
 
     KINDS = {
-        "contract": (contract_edge, ("edge",)),
-        "delete": (delete_edge, ("edge",)),
-        "delete-component": (delete_component, ("component",)),
-        "split-vertex": (split_vertex, ("circle", "p", "q")),
-        "split-face": (split_face, ("boundary", "p", "q")),
-        "join": (join_vertices, ("c1", "c2")),
-        "delete-vertex": (delete_vertex, ("circle",)),
+        "contract": (contract_edge, ("edge",), "contract an edge"),
+        "delete": (delete_edge, ("edge",), "delete an edge"),
+        "delete-component": (delete_component, ("component",), "delete a connected component by index"),
+        "split-vertex": (split_vertex, ("circle", "p", "q"), "evenly split a vertex at two gaps"),
+        "split-face": (split_face, ("boundary", "p", "q"), "evenly split a face at two vertex line segments"),
+        "join": (join_vertices, ("c1", "c2"), "join two vertices"),
+        "delete-vertex": (delete_vertex, ("circle",), "delete a vertex and its incident edges"),
     }
 
     def apply(self, g: ArrowPresentation) -> ArrowPresentation:
-        try:
-            fn, names = self.KINDS[self.kind]
-        except KeyError:
-            raise ArpError(f"unknown move kind {self.kind!r}") from None
-        if len(self.params) != len(names):
-            raise self._arity_error(self.kind)
-        return fn(g, *self.params)
+        fn, names, _ = _lookup(self.KINDS, self.kind, "move kind")
+        params = self.params
+        # params is a tuple, or a list as a caller may build it; a plain
+        # tuple, what move listing builds, is recognised by its class alone,
+        # which costs the hot path no call
+        if params.__class__ is not tuple and not isinstance(params, (tuple, list)) or len(params) != len(names):
+            raise self._arity_error(self.kind, names)
+        return fn(g, *params)
 
-    @classmethod
-    def _arity_error(cls, kind: str) -> ArpError:
-        names = cls.KINDS[kind][1]
+    @staticmethod
+    def _arity_error(kind: str, names: tuple[str, ...]) -> ArpError:
         if names == ("edge",):
             return ArpError(f"move {kind!r} takes one edge label")
         return ArpError(f"move {kind!r} takes {len(names)} integer parameters")
@@ -416,15 +418,15 @@ class MinorMove(NamedTuple):
 
     @classmethod
     def parse(cls, line: str) -> "MinorMove":
+        if not isinstance(line, str):
+            raise ArpError(f"a move line must be a str, not {type(line).__name__}")
         parts = line.split()
         if not parts:
             raise ArpError("empty move line")
         kind, args = parts[0], parts[1:]
-        if kind not in cls.KINDS:
-            raise ArpError(f"unknown move kind {kind!r}")
-        names = cls.KINDS[kind][1]
+        names = _lookup(cls.KINDS, kind, "move kind")[1]
         if len(args) != len(names):
-            raise cls._arity_error(kind)
+            raise cls._arity_error(kind, names)
         if names == ("edge",):
             return cls(kind, (args[0],))
         try:

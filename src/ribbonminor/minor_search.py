@@ -45,7 +45,6 @@ from operator import index
 from types import MappingProxyType
 
 from .arrow_core import (
-    MAX_KEY_VERTICES,
     ArpError,
     ArrowPresentation,
     canonical_presentation,
@@ -265,12 +264,10 @@ def _state_key(g: ArrowPresentation, family: MinorFamily):
     """What a search state is known by: its class's representative, or in
     the join family the isomorphism key of its underlying graph.  Join-family
     moves never add a vertex, so a search's start bounds every state it
-    keys."""
+    keys, and a start past the key's vertex limit fails before any search
+    (:meth:`UnderlyingGraph.canonical_key`)."""
     if family is not MinorFamily.BIPARTITE_JOIN:
         return canonical_presentation(g)
-    if g.n_vertices > MAX_KEY_VERTICES:
-        raise ArpError(f"the join family compares underlying graphs, which is supported "
-                       f"for at most {MAX_KEY_VERTICES} vertices; got {g.n_vertices} vertices")
     return underlying_graph(g).canonical_key()
 
 

@@ -20,6 +20,7 @@ from .arrow_core import (
     Circle,
     _base_canonical,
     _genus,
+    _lookup,
     _representative,
     _reversed,
     canonicalize,
@@ -65,6 +66,8 @@ class EnumerationSpec:
             value = getattr(self, name)
             if type(value) is not int and not (name == "max_circles" and value is None):
                 raise ArpError(f"{name} must be an integer, got {value!r}")
+        if type(self.connected_only) is not bool:
+            raise ArpError(f"connected_only must be True or False, got {self.connected_only!r}")
         if not 0 <= self.max_edges <= _MAX_SUPPORTED_EDGES:
             raise ArpError(f"max_edges must be between 0 and {_MAX_SUPPORTED_EDGES}")
         if self.max_circles is None:
@@ -225,9 +228,7 @@ def _report(check_id: str, spec: EnumerationSpec, row) -> VerificationReport:
 def verify_theorem(check_id: str, spec: EnumerationSpec = EnumerationSpec()) -> VerificationReport:
     """Check one predicate/excluded-minor equivalence over the enumerated
     classes; disagreements are reported, never raised."""
-    if check_id not in CHECKS:
-        raise ArpError(f"unknown check id {check_id!r}")
-    domain, predicate, excluded = CHECKS[check_id]
+    domain, predicate, excluded = _lookup(CHECKS, check_id, "check id")
 
     def row(g):
         if domain is not None and not domain(g):
@@ -330,9 +331,7 @@ LEMMAS = {
 def verify_lemma(lemma_id: str, spec: EnumerationSpec = EnumerationSpec()) -> VerificationReport:
     """Check a closure / genus-monotonicity / dual-transport law over the
     enumerated classes."""
-    if lemma_id not in LEMMAS:
-        raise ArpError(f"unknown lemma id {lemma_id!r}")
-    fn = LEMMAS[lemma_id]
+    fn = _lookup(LEMMAS, lemma_id, "lemma id")
 
     def row(g):
         result = fn(g)

@@ -177,6 +177,12 @@ def test_constructor_rejects_what_is_not_circles_of_arrows(circles, message):
         ArrowPresentation(circles)
 
 
+@pytest.mark.parametrize("text, name", [(b"(a+ a-)", "bytes"), (None, "NoneType")])
+def test_parse_rejects_text_that_is_not_a_str(text, name):
+    with pytest.raises(ArpError, match=f"^presentation text must be a str, not {name}$"):
+        parse_arp(text)
+
+
 def test_parse_rejects_stray_text():
     with pytest.raises(ArpError, match="stray"):
         P("(a+ a-) junk")
@@ -349,6 +355,16 @@ def test_degree_and_underlying_graph():
     assert underlying_graph(g).edges == (("a", 0, 0), ("b", 0, 0))
     with pytest.raises(ArpError):
         g.degree(5)
+
+
+def test_canonical_key_vertex_limit_names_the_join_family():
+    # the one check of the join family's vertex limit, with the text the
+    # minor command reports
+    path9 = P("\n".join(["e0+"] + [f"e{i}+ e{i + 1}+" for i in range(7)] + ["e7+"]))
+    with pytest.raises(ArpError) as err:
+        underlying_graph(path9).canonical_key()
+    assert str(err.value) == ("the join family compares underlying graphs, which is supported "
+                              "for at most 8 vertices; got 9 vertices")
 
 
 def test_components_count_isolated_circles():

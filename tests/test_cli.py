@@ -156,6 +156,16 @@ def _help_texts(parse) -> list[str]:
     return texts
 
 
+def test_help_reads_the_move_and_family_tables():
+    # the top-level help lists each move subcommand with its description in
+    # MinorMove.KINDS, and minor --help names every MinorFamily value
+    top, *rest = (" ".join(text.split()) for text in _help_texts(build_parser().parse_args))
+    for kind, (_, _, description) in MinorMove.KINDS.items():
+        assert f" {kind} {description} " in top
+    minor = rest[_SUBCOMMANDS.index("minor")]
+    assert " | ".join(f.value for f in MinorFamily) in minor
+
+
 def test_parser_is_reused_and_unchanged_by_use(capsys):
     # main builds the parser once per process; a second call, and a call
     # after failed ones, read the same parser to the same output
@@ -251,6 +261,8 @@ def test_move_subcommand_matches_move_record(kind, tmp_path, capsys, sweep2):
     assert main([kind, *map(str, mv.params), path]) == 0
     out, err = capsys.readouterr()
     assert out == format_arp(mv.apply(parse_arp(_MOVE_INPUT))) and err == ""
+    # params given as a list apply as the tuple does
+    assert MinorMove(kind, list(mv.params)).apply(parse_arp(_MOVE_INPUT)) == mv.apply(parse_arp(_MOVE_INPUT))
     moves = [m for g in sweep2 for fam in MinorFamily for m in applicable_moves(g, fam) if m.kind == kind]
     assert moves
     for m in moves:

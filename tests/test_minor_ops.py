@@ -87,6 +87,12 @@ def test_move_error_messages_unchanged():
         (lambda: MinorMove("nope", ()).apply(g), "unknown move kind 'nope'"),
         (lambda: MinorMove.parse(""), "empty move line"),
         (lambda: MinorMove.parse("nope 1"), "unknown move kind 'nope'"),
+        # an unhashable kind, params that are not a tuple or a list, and a
+        # move line that is not a str all end in an ArpError
+        (lambda: MinorMove(["x"], ()).apply(g), "unknown move kind ['x']"),
+        (lambda: MinorMove("delete", None).apply(g), "move 'delete' takes one edge label"),
+        (lambda: MinorMove("join", 5).apply(g), "move 'join' takes 2 integer parameters"),
+        (lambda: MinorMove.parse(None), "a move line must be a str, not NoneType"),
         (lambda: join_vertices(P("(a+)(a+)"), 0, 0), "cannot join a circle with itself"),
         (lambda: is_permissible_join(g, 0, 0), "cannot join a circle with itself"),
         (lambda: is_permissible_join(g, 0, 1), "unknown circle id 1"),

@@ -182,6 +182,13 @@ def test_enumeration_spec_bounds_must_be_integers(args, field):
         EnumerationSpec(*args)
 
 
+@pytest.mark.parametrize("connected_only", [[0], 1, None])
+def test_enumeration_spec_connected_only_must_be_a_bool(connected_only):
+    # an int is rejected too, as the bounds reject a bool
+    with pytest.raises(ArpError, match="^connected_only must be True or False"):
+        EnumerationSpec(2, None, connected_only)
+
+
 # -- theorem checks ----------------------------------------------------------------
 
 
@@ -206,8 +213,9 @@ def test_verify_theorem_t5_small():
 
 
 def test_verify_theorem_unknown_id():
-    with pytest.raises(ArpError, match="unknown check id"):
-        verify_theorem("T9")
+    for check_id in ("T9", ["T1"], {}):
+        with pytest.raises(ArpError, match="unknown check id"):
+            verify_theorem(check_id)
 
 
 def test_verify_theorem_restricts_domain():
@@ -352,8 +360,9 @@ def test_transport_comparison_falls_back_to_classes():
 
 
 def test_verify_lemma_unknown_id():
-    with pytest.raises(ArpError, match="unknown lemma id"):
-        verify_lemma("no-such-lemma")
+    for lemma_id in ("no-such-lemma", ["T1"], {}):
+        with pytest.raises(ArpError, match="unknown lemma id"):
+            verify_lemma(lemma_id)
 
 
 # -- reports ------------------------------------------------------------------------
