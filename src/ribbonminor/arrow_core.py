@@ -18,7 +18,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Container, Iterable, Iterator, NamedTuple, Union
+from types import MappingProxyType
+from typing import Container, Iterable, Iterator, Mapping, NamedTuple, Union
 
 __all__ = [
     "ArpError",
@@ -89,10 +90,13 @@ class ArrowPresentation:
     Every label must occur exactly twice across all circles.  Instances are
     value objects: hashable, comparable, and safe to share.
 
-    ``occurrences`` maps each label, in sorted order, to its two positions
-    ``(circle, index)`` in reading order.  It is built once, at
-    construction, by one pass that pairs each label's two occurrences as
-    it reads them, and ``labels``, ``n_edges`` and every walk read it.
+    ``labels`` holds the labels in sorted order, each once; it is kept at
+    construction, where the count check sorts the labels anyway, and
+    ``n_edges`` is its length.  ``occurrences`` maps each label, in sorted
+    order, to its two positions ``(circle, index)`` in reading order.  It is
+    built on its first read and kept: the boundary walks pair each label's
+    arrows themselves, so a presentation that is only walked, counted,
+    hashed or canonicalised never builds it; the readers of positions do.
 
     Presentations are validated once, on input from outside the program:
     the constructor checks every arrow, then :meth:`_set` checks that
@@ -106,7 +110,7 @@ class ArrowPresentation:
     '(e+ e-)'
     """
 
-    __slots__ = ("circles", "occurrences", "_hash")
+    __slots__ = ("circles", "labels", "_hash", "_occurrences")
 
     def __init__(self, circles: Iterable[Iterable[Arrow]] = ()):
         circs = []
@@ -136,41 +140,43 @@ class ArrowPresentation:
         return self
 
     def _set(self, circles: tuple[Circle, ...]) -> None:
-        """Set the circles, the ``occurrences`` table and the hash; each
-        label must occur exactly twice.
+        """Set the circles, the sorted ``labels`` and the hash; each label
+        must occur exactly twice.
 
-        One pass pairs each label's occurrences as it reads them: a first
-        sighting waits in ``first``, the second pops it and stores the
-        pair.  A label seen once stays in ``first``; one seen three times
-        waits there again, and one seen four times is paired twice over
-        and counted by ``n``.  So every label occurs exactly twice when
-        ``first`` is empty and the pairs hold every arrow; otherwise
+        The labels of all arrows are sorted once.  Every label occurs
+        exactly twice when the list's even and odd slices are equal and the
+        even slice holds no label twice (a label met four times fills two
+        places of it); an odd count makes the slices unequal.  Otherwise
         :func:`_miscount` names the least label that does not.
         """
-        first: dict[str, tuple[int, int]] = {}
-        pairs: dict[str, tuple[tuple[int, int], tuple[int, int]]] = {}
-        n = 0
-        for ci, circle in enumerate(circles):
-            n += len(circle)
-            for j, (label, _) in enumerate(circle):
-                if label in first:
-                    pairs[label] = (first.pop(label), (ci, j))
-                else:
-                    first[label] = (ci, j)
-        if first or 2 * len(pairs) != n:
+        flat = sorted([label for circle in circles for label, _ in circle])
+        labels = flat[::2]
+        if labels != flat[1::2] or len(set(labels)) != len(labels):
             raise _miscount(circles)
         self.circles: tuple[Circle, ...] = circles
-        self.occurrences: dict[str, tuple[tuple[int, int], ...]] = {
-            lab: pairs[lab] for lab in sorted(pairs)
-        }
+        self.labels: tuple[str, ...] = tuple(labels)
         self._hash = hash(circles)
 
     # -- basic views ---------------------------------------------------
 
     @property
-    def labels(self) -> tuple[str, ...]:
-        """Edge labels in sorted order."""
-        return tuple(self.occurrences)
+    def occurrences(self) -> Mapping[str, tuple[tuple[int, int], tuple[int, int]]]:
+        """Each label, in sorted order, mapped to its two positions
+        ``(circle, index)`` in reading order: a read-only view, built on
+        its first read and kept."""
+        try:
+            return self._occurrences
+        except AttributeError:
+            pass
+        # a first sighting pairs a position with itself, the second
+        # replaces that pair with the first position and its own
+        first: dict[str, tuple[int, int]] = {}
+        pairs = dict.fromkeys(self.labels)
+        for ci, circle in enumerate(self.circles):
+            for j, (label, _) in enumerate(circle):
+                pairs[label] = (first.setdefault(label, (ci, j)), (ci, j))
+        self._occurrences = MappingProxyType(pairs)
+        return self._occurrences
 
     @property
     def n_vertices(self) -> int:
@@ -178,7 +184,7 @@ class ArrowPresentation:
 
     @property
     def n_edges(self) -> int:
-        return len(self.occurrences)
+        return len(self.labels)
 
     def degree(self, circle: int) -> int:
         """Number of arrow occurrences on a circle (a loop contributes 2)."""
@@ -217,7 +223,7 @@ class ArrowPresentation:
 
     def __reduce__(self):
         # a string's hash differs between processes, so a pickled copy is
-        # rebuilt from its circles, hash and label table included
+        # rebuilt from its circles, hash and labels included
         return (ArrowPresentation._of, (self.circles,))
 
     def __repr__(self) -> str:
@@ -338,10 +344,10 @@ class BoundaryComponent:
             raise ArpError(f"segment {seg!r} not on this boundary component") from None
 
 
-def _walk(g: ArrowPresentation, jumped: Container[str]) -> tuple[list[list[tuple[int, int]]], int]:
-    """The boundary walk of g with the edges in ``jumped`` crossed: its
-    cycles, as ``(arc, direction)`` pairs, and the index of its first edge
-    arc.
+def _walk(g: ArrowPresentation, jumped: Container[str] | None) -> tuple[list[list[tuple[int, int]]], int]:
+    """The boundary walk of g with the edges in ``jumped`` crossed, every
+    edge when ``jumped`` is None: its cycles, as ``(arc, direction)``
+    pairs, and the index of its first edge arc.
 
     The arcs join arrow endpoints, which are integers: with ``base[c]`` the
     number of endpoints on the circles before c, endpoint ``base[c] + 2j +
@@ -351,9 +357,11 @@ def _walk(g: ArrowPresentation, jumped: Container[str]) -> tuple[list[list[tuple
     endpoint.  First come the gaps, circle by circle, each from the exit
     endpoint of its arrow to the entry endpoint of the next; an empty
     circle's single gap is an arc from its notional endpoint to itself.
-    Then come the edge arcs, two per label in sorted order: its two jump
-    segments head to tail if it is in ``jumped``, else its two arrows tail
-    to head.  Every endpoint meets one gap and one edge arc, so a cycle
+    Then come the edge arcs, two per label in the sorted order of
+    ``g.labels``: its two jump segments head to tail if it is jumped, else
+    its two arrows tail to head.  The loop over the arrows pairs each
+    label's two tails as it reads them, so the walk reads no label table.
+    Every endpoint meets one gap and one edge arc, so a cycle
     alternates gap, edge arc, gap, ...  With every label jumped the cycles
     are the boundary components; with the labels of A jumped they are the
     circles of the partial dual g^A, whose arrows are the jump segments of
@@ -365,25 +373,30 @@ def _walk(g: ArrowPresentation, jumped: Container[str]) -> tuple[list[list[tuple
     second; ``mate`` pairs the two ends that meet at each endpoint.
     """
     ends: list[int] = []
-    base = []
+    # label -> the tail of its first arrow, then the tails of both
+    tails: dict[str, int | tuple[int, int]] = {}
     n = 0
     for circle in g.circles:
-        base.append(n)
         d = len(circle)
         if not d:
             ends += (n, n)
             n += 1
             continue
         for j in range(d):
+            lab, s = circle[j]
             k = (j + 1) % d
+            t = n + 2 * j
             # exit: the head (part 1) of a + arrow, the tail of a - one;
             # entry the other way round
-            ends += (n + 2 * j + (circle[j][1] > 0), n + 2 * k + (circle[k][1] < 0))
+            ends += (t + (s > 0), n + 2 * k + (circle[k][1] < 0))
+            t1 = tails.get(lab)
+            tails[lab] = t if t1 is None else (t1, t)
         n += 2 * d
     first = len(ends) >> 1
-    for lab, ((c1, p1), (c2, p2)) in g.occurrences.items():
-        t1, t2 = base[c1] + 2 * p1, base[c2] + 2 * p2
-        ends += (t1 + 1, t2, t2 + 1, t1) if lab in jumped else (t1, t1 + 1, t2, t2 + 1)
+    every = jumped is None
+    for lab in g.labels:
+        t1, t2 = tails[lab]
+        ends += (t1 + 1, t2, t2 + 1, t1) if every or lab in jumped else (t1, t1 + 1, t2, t2 + 1)
     mate = [0] * len(ends)
     first_end = [-1] * n  # the end that met each endpoint first
     for end, ep in enumerate(ends):
@@ -408,11 +421,12 @@ def _walk(g: ArrowPresentation, jumped: Container[str]) -> tuple[list[list[tuple
     return cycles, first
 
 
-def _faces(g: ArrowPresentation, jumped: Container[str]) -> list[Circle]:
+def _faces(g: ArrowPresentation, jumped: Container[str] | None) -> list[Circle]:
     """The cycles of :func:`_walk` as words: each cycle's edge arcs, at its
     odd positions, as ``(label, +1 when walked along it)`` in walk order.
     An isolated circle gives the empty word.  With the labels of A jumped
-    the words are the circles of g^A, in the walk's order."""
+    the words are the circles of g^A, in the walk's order; with ``jumped``
+    None, every label is jumped."""
     cycles, first = _walk(g, jumped)
     labels = g.labels
     return [tuple((labels[(i - first) >> 1], d) for i, d in cycle[1::2]) for cycle in cycles]
@@ -423,7 +437,7 @@ def _sides(g: ArrowPresentation) -> tuple[int, Iterator[tuple[int, int]]]:
     the two components its sides lie on: the cycles of :func:`_walk`, with
     every label jumped, that hold edge arcs ``first + 2i`` and ``first + 2i
     + 1`` of label i."""
-    cycles, first = _walk(g, g.occurrences)
+    cycles, first = _walk(g, None)
     face = [0] * (2 * g.n_edges)
     for fi, cycle in enumerate(cycles):
         for arc, _ in cycle[1::2]:
@@ -457,7 +471,7 @@ def trace_boundaries(g: ArrowPresentation) -> tuple[BoundaryComponent, ...]:
     segs += [EdgeLineSegment(lab, side) for lab in g.labels for side in (1, 2)]
     return tuple(
         BoundaryComponent(tuple(segs[i] for i, _ in cyc), tuple(d for _, d in cyc))
-        for cyc in _walk(g, g.occurrences)[0]  # every label jumped
+        for cyc in _walk(g, None)[0]  # every label jumped
     )
 
 
@@ -551,15 +565,20 @@ def _traverse(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[list[int]]
 
 
 def _edge_ends(g: ArrowPresentation) -> list[tuple[int, int]]:
-    """The two circles of each edge, in label order."""
-    return [(c1, c2) for (c1, _), (c2, _) in g.occurrences.values()]
+    """The two circles of each edge, in label order, each edge's circles in
+    reading order.  A label's first sighting stores its circle twice; the
+    second replaces that pair with the first circle and its own."""
+    first: dict[str, int] = {}
+    ends: dict[str, tuple[int, int]] = {}
+    for ci, circle in enumerate(g.circles):
+        for lab, _ in circle:
+            ends[lab] = (first.setdefault(lab, ci), ci)
+    return [ends[lab] for lab in g.labels]
 
 
 @lru_cache(maxsize=None)
 def underlying_graph(g: ArrowPresentation) -> UnderlyingGraph:
-    edges = []
-    for lab, ((c1, _), (c2, _)) in g.occurrences.items():
-        edges.append((lab, min(c1, c2), max(c1, c2)))
+    edges = [(lab, min(ends), max(ends)) for lab, ends in zip(g.labels, _edge_ends(g))]
     return UnderlyingGraph(g.n_vertices, tuple(edges))
 
 
@@ -572,7 +591,7 @@ def _genus(g: ArrowPresentation) -> int:
     """Euler genus 2c - |V| + |E| - |F|, with c counting isolated circles
     too; it caches nothing, so a presentation read once, such as a move
     result, leaves no entry behind."""
-    f = len(_walk(g, g.occurrences)[0])
+    f = len(_walk(g, None)[0])
     c = len(_traverse(g.n_vertices, _edge_ends(g))[0])
     return 2 * c - g.n_vertices + g.n_edges - f
 
@@ -749,10 +768,19 @@ def _canonical_label(i: int) -> str:
 _canon_cache: dict[tuple[Circle, ...], ArrowPresentation] = {}
 
 
+@lru_cache(maxsize=None)
+def _canonical_arrow(x: tuple[int, int]) -> Arrow:
+    """The arrow that ``(i, bit)`` of a minimal encoding stands for: one
+    shared tuple per pair, so representatives hold no arrow of their own
+    (there are 2E such arrows up to E edges)."""
+    i, bit = x
+    return _canonical_label(i), -1 if bit else 1
+
+
 def _representative(enc: tuple) -> ArrowPresentation:
     """The representative of the class whose minimal encoding (see
     :func:`_base_canonical`) is ``enc``, interned in ``_canon_cache``."""
-    circles = tuple(tuple((_canonical_label(i), -1 if bit else 1) for i, bit in c) for c in enc)
+    circles = tuple(tuple(map(_canonical_arrow, c)) for c in enc)
     rep = _canon_cache.get(circles)
     if rep is None:
         rep = _canon_cache[circles] = ArrowPresentation._of(circles)

@@ -17,12 +17,12 @@ from .arrow_core import ArpError, ArrowPresentation, Circle, _faces
 __all__ = ["geometric_dual", "partial_dual"]
 
 
-def _dual_words(g: ArrowPresentation, a: Container[str]) -> list[Circle]:
-    """The circles of g^A for labels A of g, unvalidated: the words of the
-    boundary walk that crosses the edges of A, whose every arrow or jump
-    segment is an arrow of the dual, + when walked along it.  Isolated
-    circles come out as empty words and are sorted last; otherwise the
-    words keep the walk's order.
+def _dual_words(g: ArrowPresentation, a: Container[str] | None) -> list[Circle]:
+    """The circles of g^A for labels A of g, or of g* for ``a`` None,
+    unvalidated: the words of the boundary walk that crosses the edges of
+    A, whose every arrow or jump segment is an arrow of the dual, + when
+    walked along it.  Isolated circles come out as empty words and are
+    sorted last; otherwise the words keep the walk's order.
     """
     return sorted(_faces(g, a), key=lambda w: not w)
 
@@ -50,7 +50,7 @@ def partial_dual(g: ArrowPresentation, edges: Iterable[str]) -> ArrowPresentatio
         raise ArpError(f"edge labels must be a collection of strings, got {edges!r}") from None
     if not a:
         return g
-    missing = a.difference(g.occurrences)
+    missing = a.difference(g.labels)
     if missing:  # non-strings before strings, each by its text, so that any labels compare
         raise ArpError(f"label {min(missing, key=lambda x: (isinstance(x, str), str(x)))!r} not present")
     return ArrowPresentation._of(_dual_words(g, a))

@@ -50,7 +50,7 @@ __all__ = [
 def _check_label(g: ArrowPresentation, e: str) -> None:
     # a label is a string; any other value, unhashable ones included, is
     # not one of g's
-    if not isinstance(e, str) or e not in g.occurrences:
+    if not isinstance(e, str) or e not in g.labels:
         raise ArpError(f"label {e!r} not present")
 
 

@@ -299,7 +299,7 @@ def _same_classes(a: list[tuple[Circle, ...]], b: list[tuple[Circle, ...]]) -> b
 def _transport_check(g, family, dual_family) -> tuple[int, int]:
     star = geometric_dual(g)
     moved = (mv.apply(g) for mv in applicable_moves(g, family))
-    direct = [tuple(_dual_words(h, h.occurrences)) for h in moved]
+    direct = [tuple(_dual_words(h, None)) for h in moved]
     transported = [mv.apply(star).circles for mv in applicable_moves(star, dual_family)]
     return 1, int(not _same_classes(direct, transported))
 

@@ -7,8 +7,9 @@ flips, rotations and reversals; canonical forms via the edge-flip mask loop,
 and the minimal encoding via the recursive search over circle order;
 the enumeration by canonicalising every raw (word, composition) candidate,
 as first written; the label table by collecting each label's positions
-and counting them, as first written; boundary tracing and partial duality
-via two separate endpoint walks; five test-only kernels: the direct
+and counting them, as first written, and the boundary walk that reads
+that table; boundary tracing and partial duality via two separate
+endpoint walks; five test-only kernels: the direct
 deletion properness test,
 the literal vertex and face splits, the counted face-split gate and the
 trivial-loop test; the arcs of a boundary walk or a circle, counted item by item, as the
@@ -403,6 +404,67 @@ def counted_occurrences(circles) -> dict[str, tuple[tuple[int, int], ...]]:
         if len(ps) != 2:
             raise ArpError(f"label {lab!r} occurs {len(ps)} times (exactly 2 required)")
     return table
+
+
+def table_walk(g: ArrowPresentation, jumped) -> tuple[list[list[tuple[int, int]]], int]:
+    """``arrow_core._walk`` as first written, reading the label table: the
+    gaps as there, then each label's two edge arcs from the positions that
+    ``g.occurrences`` gives its arrows, in sorted label order.  Every label
+    in ``jumped`` is crossed."""
+    ends: list[int] = []
+    base = []
+    n = 0
+    for circle in g.circles:
+        base.append(n)
+        d = len(circle)
+        if not d:
+            ends += (n, n)
+            n += 1
+            continue
+        for j in range(d):
+            k = (j + 1) % d
+            ends += (n + 2 * j + (circle[j][1] > 0), n + 2 * k + (circle[k][1] < 0))
+        n += 2 * d
+    first = len(ends) >> 1
+    for lab, ((c1, p1), (c2, p2)) in g.occurrences.items():
+        t1, t2 = base[c1] + 2 * p1, base[c2] + 2 * p2
+        ends += (t1 + 1, t2, t2 + 1, t1) if lab in jumped else (t1, t1 + 1, t2, t2 + 1)
+    mate = [0] * len(ends)
+    first_end = [-1] * n
+    for end, ep in enumerate(ends):
+        other = first_end[ep]
+        if other < 0:
+            first_end[ep] = end
+        else:
+            mate[end], mate[other] = other, end
+    cycles = []
+    seen = [False] * n
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        cycle = [(start, 1)]
+        end = mate[2 * start + 1]
+        while end >> 1 != start:
+            seen[end >> 1] = True
+            cycle.append((end >> 1, 1 - 2 * (end & 1)))
+            end = mate[end ^ 1]
+        cycles.append(cycle)
+    return cycles, first
+
+
+def assert_walk_matches_table_walk(g: ArrowPresentation, rng) -> None:
+    """``arrow_core._walk`` gives the cycles and first edge arc of
+    :func:`table_walk` with no label jumped, with every label jumped (None,
+    and the set of all labels) and with two subsets drawn by ``rng``."""
+    from ribbonminor.arrow_core import _walk
+
+    labels = g.labels
+    assert _walk(g, None) == _walk(g, frozenset(labels)) == table_walk(g, labels), g
+    assert _walk(g, frozenset()) == table_walk(g, ()), g
+    for _ in range(2):
+        a = frozenset(e for e in labels if rng.random() < 0.5)
+        assert _walk(g, a) == table_walk(g, a), (g, a)
 
 
 # The enumeration as first written: every raw (word, composition) candidate

@@ -28,6 +28,7 @@ from ribbonminor.verify import _augmentations
 from oracles import (
     _compositions,
     _words,
+    assert_walk_matches_table_walk,
     assert_walks_alternate,
     brute_equivalent,
     counted_occurrences,
@@ -110,6 +111,44 @@ def test_occurrences_match_counting_reference():
                 h = mv.apply(g)
                 _assert_table_matches_counted(h)
                 _assert_table_matches_counted(geometric_dual(h))
+
+
+def test_walk_matches_table_walk_oracle():
+    # the walk pairs each label's arrows itself; on the 591 connected
+    # classes of at most 4 edges it gives the cycles of the walk that reads
+    # the label table, for no label, every label and seeded random subsets
+    import random
+
+    rng = random.Random(2008_13327)
+    classes = enumerate_presentations(EnumerationSpec(4))
+    assert len(classes) == 591
+    for g in classes:
+        assert_walk_matches_table_walk(g, rng)
+
+
+def test_presentations_hold_no_table_until_read():
+    # construction keeps circles, hash and sorted labels only; walks,
+    # duals, move results, graphs and canonical forms build no table, and
+    # the first read builds a read-only view that later reads return
+    from ribbonminor import MinorMove, checkerboard_colouring, geometric_dual, is_bipartite, partial_dual
+
+    g = P("(a+ b- c+)(a- c-)(b+)()")
+    made = [g, ArrowPresentation(g.circles), ArrowPresentation._of(g.circles), partial_dual(g, {"a"}),
+            geometric_dual(g), MinorMove("contract", ("a",)).apply(g), MinorMove("delete", ("b",)).apply(g)]
+    for h in made:
+        trace_boundaries.__wrapped__(h)
+        euler_genus.__wrapped__(h)
+        underlying_graph.__wrapped__(h)
+        checkerboard_colouring(h)
+        is_bipartite(h)
+        canonical_presentation(h)
+        assert h.labels == tuple(sorted({lab for c in h.circles for lab, _ in c}))
+        assert h.n_edges == len(h.labels) and hash(h) == hash(h.circles)
+        assert not hasattr(h, "_occurrences"), h
+    occ = g.occurrences
+    assert g.occurrences is occ and dict(occ) == counted_occurrences(g.circles)
+    with pytest.raises(TypeError):
+        occ["a"] = ((0, 0), (1, 0))
 
 
 @pytest.mark.parametrize(

@@ -139,7 +139,11 @@ def test_verify_report_file(tmp_path, capsys):
 
 def test_verify_unknown_id(capsys):
     assert main(["verify", "T42"]) == 2
-    assert "unknown id" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: unknown id 'T42' (known: T1, T2, T3, T4, T5, T6, T7, C1, C2, C3, C4, cc-closure, "
+        "bipartite-closure, genus-contract-delete, genus-eulerian, genus-cc, dual-transport-eulerian, "
+        "dual-transport-cc)\n"
+    )
 
 
 _SUBCOMMANDS = ["info", "dual", "pdual", *MinorMove.KINDS, "minor", "verify", "enumerate"]

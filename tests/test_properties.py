@@ -40,6 +40,7 @@ from oracles import (
     assert_cuts_match_counted,
     assert_move_sequence,
     assert_moves_match_partial_dual_route,
+    assert_walk_matches_table_walk,
     assert_walks_alternate,
     can_split_face_counted,
     counted_occurrences,
@@ -260,6 +261,12 @@ def test_boundary_walk_matches_endpoint_walk_oracles_up_to_12_edges(g, seed):
     subset = frozenset(e for e in g.labels if rng.random() < 0.5)
     assert partial_dual(g, subset).circles == endpoint_partial_dual(g, subset).circles
     assert geometric_dual(g).circles == endpoint_partial_dual(g, g.labels).circles
+
+
+@settings(max_examples=100, deadline=None)
+@given(presentations(max_edges=32, max_circles=6), st.integers(0, 2**32 - 1))
+def test_walk_matches_table_walk_oracle_up_to_32_edges(g, seed):
+    assert_walk_matches_table_walk(g, random.Random(seed))
 
 
 @settings(max_examples=100, deadline=None)
