@@ -680,10 +680,7 @@ def _base_canonical(circles: tuple[Circle, ...]) -> tuple:
 
     Internally an arrow (i, bit) is the integer 2i + bit, in the same order.
     """
-    where: _Where = {}
-    for ci, c in enumerate(circles):
-        for j, (lab, s) in enumerate(c):
-            where.setdefault(lab, []).append((ci, j, s))
+    where = _where(circles)
     rev = list(map(_reversed, circles))
     comps = []
     for comp in _traverse(len(circles), ((a[0], b[0]) for a, b in where.values()))[0]:
@@ -704,12 +701,30 @@ def _base_canonical(circles: tuple[Circle, ...]) -> tuple:
     return tuple(out)
 
 
+def _where(circles: tuple[Circle, ...]) -> _Where:
+    """Each label's two arrows as (circle, position, sign), in reading order."""
+    where: _Where = {}
+    for ci, c in enumerate(circles):
+        for j, (lab, s) in enumerate(c):
+            where.setdefault(lab, []).append((ci, j, s))
+    return where
+
+
+#: Where a row is read from: ``(circle, reversed, start)``, the circle read
+#: from position ``start`` of its arrows when ``reversed`` is false, or of
+#: its reversal when it is true.
+_Root = tuple[int, bool, int]
+
+
 def _complete(
-    circles: tuple[Circle, ...], rev: list[Circle], where: _Where, ci: int, seq: Circle, best: list[list[int]] | None
+    circles: tuple[Circle, ...], rev: list[Circle], where: _Where, ci: int, seq: Circle, best: list[list[int]] | None,
+    roots: list[_Root] | None = None,
 ) -> list[list[int]] | None:
     """The encoding of the component whose first circle is ``ci`` read as
     ``seq``, each later circle forced (see :func:`_base_canonical`); None at
-    its first arrow above ``best``."""
+    its first arrow above ``best``.  With ``roots`` given, which holds the
+    root of ``seq``, the root of each later row is appended to it as the
+    row is read."""
     firsts: dict[str, tuple[int, Sign, int]] = {}  # label -> (x, sign, circle)
     # per label index: the label while it is open, None once both arrows
     # are placed
@@ -750,7 +765,59 @@ def _complete(
         ci, j, t = b if a[0] == cp else a
         c = circles[ci] if t == s else rev[ci]
         j = j if t == s else len(c) - 1 - j
+        if roots is not None:
+            roots.append((ci, t != s, j))
         seq = c[j:] + c[:j]
+
+
+#: An automorphism as a map of gaps (see :func:`_automorphisms`): the gap
+#: each gap goes to, and per gap -1 where its circle is read reversed, else 1.
+_GapMap = tuple[list[int], list[int]]
+
+
+def _automorphisms(circles: tuple[Circle, ...]) -> list[_GapMap]:
+    """The automorphisms of a connected class representative with no empty
+    circle, each as a map of its gaps, the identity first.
+
+    Gap k of a circle is the place before its arrow k, so gap 0 lies
+    between its last arrow and its first; gaps are numbered circle by
+    circle.  The representative's circles are its least encoding, read from
+    root (0, forward, 0), so that completion is the least one.  A root whose
+    completion ties it exactly reads, in its row r, some circle c_r so that
+    putting each c_r, read so, in place r gives the same encoding, hence the
+    same presentation up to relabelling and edge flips: an automorphism,
+    which sends circle c_r onto circle r.  Conversely an automorphism sends
+    root (0, forward, 0) to a root whose completion reads the same rows, so
+    each automorphism is one tie; distinct roots give distinct maps.
+
+    A forward row from start p sends gap k of an n-arrow circle to gap
+    (k - p) mod n of circle r, and a reversed one to gap (n - k - p) mod n,
+    with every sign on it flipped: the flip is -1 on the gaps of circles
+    read reversed.
+    """
+    where = _where(circles)
+    rev = list(map(_reversed, circles))
+    own = _complete(circles, rev, where, 0, circles[0], None)
+    base = [0]
+    for c in circles:
+        base.append(base[-1] + len(c))
+    maps = []
+    for ci, c in enumerate(circles):
+        n = len(c)
+        for back in (False, True):
+            twice = (rev[ci] if back else c) * 2
+            for p in range(n):
+                roots = [(ci, back, p)]
+                if _complete(circles, rev, where, ci, twice[p : p + n], own, roots) != own:
+                    continue
+                perm, flip = [0] * base[-1], [1] * base[-1]
+                for r, (cj, b, q) in enumerate(roots):
+                    d = len(circles[cj])
+                    for k in range(d):
+                        perm[base[cj] + k] = base[r] + ((d - k - q) if b else (k - q)) % d
+                        flip[base[cj] + k] = -1 if b else 1
+                maps.append((perm, flip))
+    return maps
 
 
 def _canonical_label(i: int) -> str:

@@ -18,6 +18,7 @@ from .arrow_core import (
     ArpError,
     ArrowPresentation,
     Circle,
+    _automorphisms,
     _base_canonical,
     _genus,
     _lookup,
@@ -80,21 +81,45 @@ def _put(circles: tuple[Circle, ...], ci: int, k: int, arrow) -> tuple[Circle, .
     return circles[:ci] + (circles[ci][:k] + (arrow,) + circles[ci][k:],) + circles[ci + 1 :]
 
 
-def _augmentations(circles: tuple[Circle, ...]):
+def _augmentations(circles: tuple[Circle, ...], maps):
     """The circles with one more edge, labelled ``_``, which no canonical
-    label is: both arrows at two gaps or at one gap, the second with either
-    sign; or one arrow at a gap and the other alone on a new circle, which
-    covers both signs since that circle can be reversed.  An empty circle
-    has one gap.  Swapping the two arrows, at two gaps or at one, gives the
-    same edge flipped, so only one order is generated."""
+    label is, one per orbit of the gap maps ``maps`` (see
+    :func:`arrow_core._automorphisms`), taken to be all automorphisms of
+    the circles, or none.
+
+    An edge is added at gaps, numbered as in ``_put``: both arrows at two
+    gaps or at one gap, the second with either sign; or one arrow at a gap
+    and the other alone on a new circle, which covers both signs since
+    that circle can be reversed.  An empty circle has one gap.  Swapping
+    the two arrows, at two gaps or at one, gives the same edge flipped, so
+    only one order is made: a leaf is described by its gap i and a pair by
+    (i, j, s) with i <= j and s the sign of the second arrow, the first
+    being +.
+
+    A map (perm, flip) re-reads the circles as themselves, so the edge put
+    at gaps i and j with signs + and s is, read through it, the edge put at
+    gaps perm[i] and perm[j] with signs flip[i] and s * flip[i] * flip[j]
+    up to an edge flip: the descriptor (min, max of perm[i], perm[j],
+    s * flip[i] * flip[j]), and likewise a leaf at perm[i].  So the
+    descriptors of one orbit give equivalent presentations, and one of
+    each orbit is enough (soundness).  Only the least of each orbit, in
+    (gap, gap, sign) order with -1 below +1, is made: the one no map sends
+    lower.  With all automorphisms, the maps are a group, so every orbit
+    has exactly one such descriptor (completeness); with none, every
+    descriptor is made.
+    """
     first = ("_", 1)
     gaps = [(ci, k) for ci, c in enumerate(circles) for k in range(len(c) or 1)]
     for i, (ci, k) in enumerate(gaps):
-        yield _put(circles, ci, k, first) + ((first,),)
-        for cj, l in gaps[i:]:
+        if all(perm[i] >= i for perm, _ in maps):
+            yield _put(circles, ci, k, first) + ((first,),)
+        for j in range(i, len(gaps)):
+            cj, l = gaps[j]
             for s in (1, -1):
-                # on one circle k <= l, so gap k stays in place
-                yield _put(_put(circles, cj, l, ("_", s)), ci, k, first)
+                if all((min(perm[i], perm[j]), max(perm[i], perm[j]), s * flip[i] * flip[j]) >= (i, j, s)
+                       for perm, flip in maps):
+                    # on one circle k <= l, so gap k stays in place
+                    yield _put(_put(circles, cj, l, ("_", s)), ci, k, first)
 
 
 @lru_cache(maxsize=None)
@@ -109,6 +134,17 @@ def enumerate_presentations(spec: EnumerationSpec = EnumerationSpec()) -> tuple[
     not cached, and each new class's representative is built from it once.
     The first level is one empty circle, or k empty circles for every k
     within the bound when ``connected_only`` is false.
+
+    A connected parent past the first level is augmented once per orbit of
+    its automorphisms, which :func:`arrow_core._automorphisms` reads from
+    the exact ties of its own canonical completion, as plantri does
+    (Brinkmann-McKay, MATCH 2007).  Sound: an automorphism re-reads the
+    parent as itself, so two augmentations in one orbit are equivalent
+    presentations, one class.  Complete: the automorphisms are a group, so
+    each orbit keeps exactly one descriptor, its least, and every class an
+    augmentation of the parent reaches is still reached.  The empty first
+    circle and every parent of ``connected_only=False`` keep all their
+    augmentations.
 
     Every class is reached, from a parent of one edge fewer and no more
     circles.  A connected graph has an edge whose deletion keeps it
@@ -127,11 +163,11 @@ def enumerate_presentations(spec: EnumerationSpec = EnumerationSpec()) -> tuple[
     top = 1 if spec.connected_only else spec.max_circles
     level = [_representative(((),) * k) for k in range(1, top + 1)]
     out = list(level) if not spec.connected_only or spec.max_edges == 0 else []
-    for _ in range(spec.max_edges):
+    for e in range(spec.max_edges):
         new = dict.fromkeys(
             _base_canonical(circles)
             for g in level
-            for circles in _augmentations(g.circles)
+            for circles in _augmentations(g.circles, _automorphisms(g.circles) if e and spec.connected_only else ())
             if len(circles) <= spec.max_circles
         )
         level = [_representative(enc) for enc in new]

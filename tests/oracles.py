@@ -6,7 +6,8 @@ endpoints, and equivalence via explicit enumeration of relabellings, edge
 flips, rotations and reversals; canonical forms via the edge-flip mask loop,
 and the minimal encoding via the recursive search over circle order;
 the enumeration by canonicalising every raw (word, composition) candidate,
-as first written; the label table by collecting each label's positions
+as first written, and every augmentation of a class, as made before orbit
+pruning; the label table by collecting each label's positions
 and counting them, as first written, and the boundary walk that reads
 that table; boundary tracing and partial duality via two separate
 endpoint walks; five test-only kernels: the direct
@@ -59,6 +60,7 @@ from ribbonminor import (
 )
 from ribbonminor.arrow_core import MAX_KEY_VERTICES, Circle, Segment, Sign
 from ribbonminor.minor_ops import _check_label
+from ribbonminor.verify import _put
 from ribbonminor import minor_search
 from ribbonminor.minor_search import (
     MinorFamily,
@@ -528,6 +530,21 @@ def dedup_enumerate(spec):
                         padded = ArrowPresentation(circles + [()] * extra)
                         forms.add(canonicalize(padded))
     return tuple(canonical_presentation(ArrowPresentation.from_text(f)) for f in sorted(forms))
+
+
+def augmentations(circles: tuple[Circle, ...]):
+    """Every augmentation of the circles, as the enumeration made them before
+    it read automorphisms: both arrows of a new edge ``_`` at two gaps or at
+    one, the second with either sign, or one arrow at a gap and the other
+    alone on a new circle.  The library's orbit-pruned augmentations must
+    reach the same classes, one candidate per orbit of the automorphisms."""
+    first = ("_", 1)
+    gaps = [(ci, k) for ci, c in enumerate(circles) for k in range(len(c) or 1)]
+    for i, (ci, k) in enumerate(gaps):
+        yield _put(circles, ci, k, first) + ((first,),)
+        for cj, l in gaps[i:]:
+            for s in (1, -1):
+                yield _put(_put(circles, cj, l, ("_", s)), ci, k, first)
 
 
 # Boundary tracing and partial duality as first written: each builds its own

@@ -1,8 +1,10 @@
 import copy
+import math
 import os
 import pickle
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -23,11 +25,11 @@ from ribbonminor import (
     underlying_graph,
 )
 from ribbonminor import arrow_core
-from ribbonminor.arrow_core import _base_canonical
-from ribbonminor.verify import _augmentations
+from ribbonminor.arrow_core import _automorphisms, _base_canonical
 from oracles import (
     _compositions,
     _words,
+    augmentations,
     assert_walk_matches_table_walk,
     assert_walks_alternate,
     brute_equivalent,
@@ -528,7 +530,7 @@ def test_base_canonical_matches_search_on_augmentation_candidates(connected_only
     # every candidate the enumeration deduplicates on, up to 4 edges: the
     # rooted construction gives the encoding of the recursive search
     for g in enumerate_presentations(EnumerationSpec(3, connected_only=connected_only)):
-        for circles in _augmentations(g.circles):
+        for circles in augmentations(g.circles):
             assert _base_canonical(circles) == search_base_canonical(circles), circles
 
 
@@ -559,6 +561,91 @@ _LARGE_INPUTS = {
 @pytest.mark.parametrize("circles", _LARGE_INPUTS.values(), ids=_LARGE_INPUTS.keys())
 def test_base_canonical_matches_search_on_large_inputs(circles):
     assert _base_canonical(circles) == search_base_canonical(circles)
+
+
+# -- automorphisms ------------------------------------------------------------
+
+
+def _own_encoding(circles):
+    """The circles' own encoding: labels numbered by first occurrence, and
+    bit 1 on a second occurrence whose sign differs from the first's."""
+    firsts = {}
+    return tuple(
+        tuple((firsts.setdefault(lab, (len(firsts), s))[0], int(s != firsts[lab][1])) for lab, s in c)
+        for c in circles
+    )
+
+
+def _reread(circles, perm, flip):
+    """The circles as the gap map (perm, flip) reads them: arrow k of a
+    circle lies between its gaps k and k + 1, so it lands just after the
+    image of gap k, or of gap k + 1 on a circle read reversed, with its sign
+    times the flip.  A slot no arrow lands on stays None."""
+    start = [0]
+    for c in circles:
+        start.append(start[-1] + len(c))
+    circle_of = [ci for ci, c in enumerate(circles) for _ in c]
+    out = [[None] * len(c) for c in circles]
+    for ci, c in enumerate(circles):
+        assert len({flip[g] for g in range(start[ci], start[ci + 1])}) == 1
+        for k, (lab, s) in enumerate(c):
+            f = flip[start[ci] + k]
+            g = perm[start[ci] + (k if f > 0 else (k + 1) % len(c))]
+            out[circle_of[g]][g - start[circle_of[g]]] = (lab, s * f)
+    return tuple(map(tuple, out))
+
+
+def _orientable(circles) -> bool:
+    """Whether reversing some of the circles of a connected presentation
+    gives every edge two arrows of opposite signs."""
+    ends: dict[str, list] = {}
+    for ci, c in enumerate(circles):
+        for lab, s in c:
+            ends.setdefault(lab, []).append((ci, s))
+    side = {0: 1}
+    while len(side) < len(circles):
+        for (c1, s1), (c2, s2) in ends.values():
+            if (c1 in side) != (c2 in side):
+                known, other = (c1, c2) if c1 in side else (c2, c1)
+                side[other] = -side[known] * s1 * s2
+    return all(side[c1] * s1 == -side[c2] * s2 for (c1, s1), (c2, s2) in ends.values())
+
+
+def _double_factorial(n: int) -> int:
+    return math.prod(range(n, 0, -2))
+
+
+def test_automorphisms_rooted_map_census_up_to_4_edges():
+    # A connected class of E edges has 4E roots (a circle read from an arrow,
+    # either way), on which its automorphisms act freely, so it has
+    # 4E / |Aut| rooted versions; summed over the classes of E edges these
+    # count the rooted maps with E edges: 3, 24, 297, 4,896 on all surfaces
+    # (the count of flag codes, three involutions on 4E flags), A000698's
+    # a(E + 1) orientable (Walsh-Lehman, JCTB 1972) and Tutte's
+    # 2 * 3^E * (2E)! / (E! (E + 2)!) plane ones (Canad. J. Math. 1963).
+    # A map that re-reads a class as anything but itself, or a missed or
+    # repeated automorphism, moves these sums.
+    rooted = {e: Counter() for e in range(1, 5)}
+    for g in enumerate_presentations(EnumerationSpec(4)):
+        e = g.n_edges
+        maps = _automorphisms(g.circles)
+        assert maps[0] == (list(range(2 * e)), [1] * (2 * e))
+        assert len({(tuple(perm), tuple(flip)) for perm, flip in maps}) == len(maps)
+        for perm, flip in maps:
+            assert sorted(perm) == list(range(2 * e))
+            assert _own_encoding(_reread(g.circles, perm, flip)) == _own_encoding(g.circles), (g, perm, flip)
+        versions, rest = divmod(4 * e, len(maps))
+        assert rest == 0
+        rooted[e]["all"] += versions
+        rooted[e]["orientable"] += versions * _orientable(g.circles)
+        rooted[e]["plane"] += versions * (euler_genus(g) == 0)
+    a = [1]
+    for n in range(1, 6):
+        a.append(_double_factorial(2 * n - 1)
+                 - sum(_double_factorial(2 * k - 1) * a[n - k] for k in range(1, n)))
+    for e in range(1, 5):
+        tutte = 2 * 3**e * math.factorial(2 * e) // (math.factorial(e) * math.factorial(e + 2))
+        assert rooted[e] == {"all": [3, 24, 297, 4896][e - 1], "orientable": a[e + 1], "plane": tutte}
 
 
 @pytest.mark.parametrize("piece", ["(x+ x+)", "(x+)(x+)"])

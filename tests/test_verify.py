@@ -22,16 +22,20 @@ from ribbonminor import (
     verify_lemma,
     verify_theorem,
 )
+import ribbonminor.verify as verify_module
+from ribbonminor import arrow_core
+from ribbonminor.arrow_core import _automorphisms, _base_canonical
 from ribbonminor.verify import (
     CHECKS,
     LEMMAS,
+    _augmentations,
     _labelled,
     _move_check,
     _raises_genus,
     _same_classes,
     _transport_check,
 )
-from oracles import brute_equivalent, dedup_enumerate
+from oracles import augmentations, brute_equivalent, dedup_enumerate
 
 P = parse_arp
 
@@ -118,6 +122,67 @@ def test_enumeration_pinned_class_lists(spec, n_classes, digest):
     texts = [g.to_text() for g in enumerate_presentations(EnumerationSpec(*spec))]
     assert len(texts) == n_classes
     assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == digest
+
+
+def _rooted_at_new_edge(circles):
+    """The least completion over the four roots at the arrows of ``_``
+    (each read either way): the encoding of the presentation rooted at its
+    new edge, equal for two augmentations of one parent exactly when an
+    equivalence of the two sends one new edge to the other."""
+    where = arrow_core._where(circles)
+    rev = list(map(arrow_core._reversed, circles))
+    least = None
+    for ci, j, _ in where["_"]:
+        for c, start in ((circles[ci], j), (rev[ci], len(rev[ci]) - 1 - j)):
+            rows = arrow_core._complete(circles, rev, where, ci, c[start:] + c[:start], None)
+            least = rows if least is None else min(least, rows)
+    return tuple(map(tuple, least))
+
+
+def _sign_turning(maps) -> bool:
+    """Whether some map sends a pair of gaps onto itself while reading one
+    of their circles reversed and the other not, so that it changes the
+    pair's sign."""
+    return any({perm[i], perm[j]} == {i, j} and flip[i] != flip[j]
+               for perm, flip in maps for i in range(len(perm)) for j in range(i))
+
+
+def test_orbit_pruned_augmentations_keep_one_per_orbit():
+    # against every augmentation (the oracle): the same classes, and one
+    # kept candidate for each orbit of the parent's automorphisms, which
+    # is one for each encoding rooted at the new edge.  The parents are the
+    # classes of at most 3 edges and the 4-edge classes with a map that
+    # turns a pair's sign, which none of those has.
+    parents = list(enumerate_presentations(EnumerationSpec(3)))
+    turning = [g for g in enumerate_presentations(EnumerationSpec(4))
+               if g.n_edges == 4 and _sign_turning(_automorphisms(g.circles))]
+    assert turning and not any(_sign_turning(_automorphisms(g.circles)) for g in parents)
+    for g in parents + turning:
+        kept = list(_augmentations(g.circles, _automorphisms(g.circles)))
+        every = list(augmentations(g.circles))
+        assert set(map(_base_canonical, kept)) == set(map(_base_canonical, every)), g
+        rooted = [_rooted_at_new_edge(c) for c in kept]
+        assert len(set(rooted)) == len(rooted), g
+        assert set(rooted) == set(map(_rooted_at_new_edge, every)), g
+    # with no maps (the empty first circle, disconnected parents) every
+    # augmentation is kept, in the oracle's order
+    for g in enumerate_presentations(EnumerationSpec(2, 4, False)):
+        assert list(_augmentations(g.circles, ())) == list(augmentations(g.circles))
+
+
+@pytest.mark.parametrize("spec, calls", [((3, 4), 144), ((4, 2), 1317), ((4, 5), 1695)])
+def test_enumeration_canonicalises_one_candidate_per_orbit(monkeypatch, spec, calls):
+    # the minimal encodings the enumeration computes on candidates; with
+    # every augmentation kept they were 291, 2,547 and 3,315
+    counted = []
+
+    def base_canonical(circles):
+        counted.append(circles)
+        return _base_canonical(circles)
+
+    monkeypatch.setattr(verify_module, "_base_canonical", base_canonical)
+    enumerate_presentations.__wrapped__(EnumerationSpec(*spec))
+    assert len(counted) == calls
 
 
 _MEMO_GROWTH = """
