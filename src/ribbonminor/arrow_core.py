@@ -692,11 +692,20 @@ def _base_canonical(circles: tuple[Circle, ...]) -> tuple:
             for twice in (circles[ci] * 2, rev[ci] * 2):
                 for p in range(n):
                     best = _complete(circles, rev, where, ci, twice[p : p + n], best) or best
-        comps.append(best)
-    out = [() for c in circles if not c]
-    shift = 0
+        comps.append(tuple(tuple((x >> 1, x & 1) for x in row) for row in best))
+    return _layout(sum(not c for c in circles), comps)
+
+
+def _layout(n_empty: int, comps) -> tuple:
+    """The minimal encoding of ``n_empty`` empty circles and components
+    with minimal encodings ``comps``, each with at least one edge: the
+    empty circles, then the components in sorted order, each one's label
+    indices shifted past those of the ones before it (see
+    :func:`_base_canonical`).  Nothing is searched, so a class is encoded
+    from its parts' encodings alone."""
+    out, shift = [()] * n_empty, 0
     for rows in sorted(comps):
-        out += (tuple(((x >> 1) + shift, x & 1) for x in row) for row in rows)
+        out += (tuple((i + shift, bit) for i, bit in row) for row in rows) if shift else rows
         shift += sum(map(len, rows)) // 2
     return tuple(out)
 
@@ -777,7 +786,9 @@ _GapMap = tuple[list[int], list[int]]
 
 def _automorphisms(circles: tuple[Circle, ...]) -> list[_GapMap]:
     """The automorphisms of a connected class representative with no empty
-    circle, each as a map of its gaps, the identity first.
+    circle, each as a map of its gaps, the identity first; for the lone
+    empty circle, which has no arrow to root a completion at, no map, which
+    :func:`verify._augmentations` reads as keeping every augmentation.
 
     Gap k of a circle is the place before its arrow k, so gap 0 lies
     between its last arrow and its first; gaps are numbered circle by

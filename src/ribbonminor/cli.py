@@ -134,9 +134,10 @@ def _add_input(p: argparse.ArgumentParser) -> None:
 
 
 def _add_bounds(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-edges", type=int, default=EnumerationSpec.max_edges)
-    p.add_argument("--max-circles", type=int, default=EnumerationSpec.max_circles)
-    p.add_argument("--include-disconnected", action="store_true")
+    p.add_argument("--max-edges", type=int, default=EnumerationSpec.max_edges,
+                   help="classes of at most this many edges (default: %(default)s)")
+    p.add_argument("--max-circles", type=int, help="classes of at most this many circles (default: max-edges + 1)")
+    p.add_argument("--include-disconnected", action="store_true", help="also classes with more than one component")
 
 
 @lru_cache(maxsize=1)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 from .arrow_core import (
     ArpError,
@@ -21,6 +22,7 @@ from .arrow_core import (
     _automorphisms,
     _base_canonical,
     _genus,
+    _layout,
     _lookup,
     _representative,
     _reversed,
@@ -122,56 +124,77 @@ def _augmentations(circles: tuple[Circle, ...], maps):
                     yield _put(_put(circles, cj, l, ("_", s)), ci, k, first)
 
 
+def _connected_classes(spec: EnumerationSpec):
+    """The minimal encoding and the representative of each connected class
+    of 1 to ``spec.max_edges`` edges within the circle bound, by canonical
+    augmentation; see :func:`enumerate_presentations`."""
+    level = [_representative(((),))]
+    for _ in range(spec.max_edges):
+        new = dict.fromkeys(
+            _base_canonical(cand) for g in level for cand in _augmentations(g.circles, _automorphisms(g.circles))
+            if len(cand) <= spec.max_circles
+        )
+        level = [_representative(enc) for enc in new]
+        yield from zip(new, level)
+
+
 @lru_cache(maxsize=None)
 def enumerate_presentations(spec: EnumerationSpec = EnumerationSpec()) -> tuple[ArrowPresentation, ...]:
     """Every presentation within the bounds, one canonical representative per
     class, sorted by canonical form.
 
-    Canonical augmentation (McKay, "Isomorph-free exhaustive generation",
-    J. Algorithms 1998): the classes of e + 1 edges are the classes of the
-    :func:`_augmentations` of the representatives of e edges within the
-    circle bound.  They are deduplicated on their minimal encoding, which is
-    not cached, and each new class's representative is built from it once.
-    The first level is one empty circle, or k empty circles for every k
-    within the bound when ``connected_only`` is false.
+    The connected classes come by canonical augmentation (McKay,
+    "Isomorph-free exhaustive generation", J. Algorithms 1998): the classes
+    of e + 1 edges are the classes of the :func:`_augmentations` of the
+    representatives of e edges within the circle bound, from one empty
+    circle.  They are deduplicated on their minimal encoding, which is not
+    cached, and each new class's representative is built from it once.
 
-    A connected parent past the first level is augmented once per orbit of
-    its automorphisms, which :func:`arrow_core._automorphisms` reads from
-    the exact ties of its own canonical completion, as plantri does
-    (Brinkmann-McKay, MATCH 2007).  Sound: an automorphism re-reads the
-    parent as itself, so two augmentations in one orbit are equivalent
-    presentations, one class.  Complete: the automorphisms are a group, so
-    each orbit keeps exactly one descriptor, its least, and every class an
-    augmentation of the parent reaches is still reached.  The empty first
-    circle and every parent of ``connected_only=False`` keep all their
-    augmentations.
+    Each parent is augmented once per orbit of its automorphisms, which
+    :func:`arrow_core._automorphisms` reads from the exact ties of its own
+    canonical completion, as plantri does (Brinkmann-McKay, MATCH 2007);
+    the lone empty circle has none, so it keeps every augmentation.  Sound:
+    an automorphism re-reads the parent as itself, so two augmentations in
+    one orbit are equivalent presentations, one class.  Complete: the
+    automorphisms are a group, so each orbit keeps exactly one descriptor,
+    its least, and every class an augmentation of the parent reaches is
+    still reached.
 
-    Every class is reached, from a parent of one edge fewer and no more
-    circles.  A connected graph has an edge whose deletion keeps it
+    Every connected class is reached, from a parent of one edge fewer and no
+    more circles.  A connected graph has an edge whose deletion keeps it
     connected and keeps its circle count, or it is a tree and has a leaf
     edge, whose deletion together with its leaf circle leaves a connected
     graph with one circle fewer; adding the edge back to the representative
     of the parent's class is one of its augmentations, up to equivalence.
-    Without ``connected_only``, deleting any edge keeps the circle count.
     So the circle bound holds for every parent and is applied level by
     level, and since an augmentation of a connected graph is connected, no
     connectivity filter is needed.
 
+    Without ``connected_only``, each class is assembled, not augmented: k
+    empty circles and a multiset of connected classes with edges, within
+    both bounds, encoded by :func:`arrow_core._layout` from the parts'
+    encodings.  Sound: by the layout proof of
+    :func:`arrow_core._base_canonical` that is the minimal encoding of the
+    assembled presentation, so distinct multisets are distinct classes.
+    Complete: every class is its empty circles plus its components, each a
+    connected class within both bounds.
+
     >>> [g.to_text() for g in enumerate_presentations(EnumerationSpec(1, 2))]
     ['(a+ a+)', '(a+ a-)', '(a+)(a+)']
     """
-    top = 1 if spec.connected_only else spec.max_circles
-    level = [_representative(((),) * k) for k in range(1, top + 1)]
-    out = list(level) if not spec.connected_only or spec.max_edges == 0 else []
-    for e in range(spec.max_edges):
-        new = dict.fromkeys(
-            _base_canonical(circles)
-            for g in level
-            for circles in _augmentations(g.circles, _automorphisms(g.circles) if e and spec.connected_only else ())
-            if len(circles) <= spec.max_circles
-        )
-        level = [_representative(enc) for enc in new]
-        out += level
+    if spec.connected_only:
+        # the lone empty circle is listed only when no edge is allowed
+        out = [g for _, g in _connected_classes(spec)] or [_representative(((),))]
+        return tuple(sorted(out, key=canonicalize))
+    edges = {enc: sum(map(len, enc)) // 2 for enc, _ in _connected_classes(spec)}
+    out = []
+    for r in range(spec.max_edges + 1):
+        # r parts have an edge each, so none of them has more than max_edges + 1 - r
+        fits = [enc for enc, e in edges.items() if e <= spec.max_edges + 1 - r]
+        for combo in combinations_with_replacement(fits, r):
+            if sum(map(edges.get, combo)) <= spec.max_edges:
+                free = spec.max_circles - sum(map(len, combo))
+                out += (_representative(_layout(k, combo)) for k in range(not combo, free + 1))
     return tuple(sorted(out, key=canonicalize))
 
 

@@ -25,7 +25,7 @@ from ribbonminor import (
     underlying_graph,
 )
 from ribbonminor import arrow_core
-from ribbonminor.arrow_core import _automorphisms, _base_canonical
+from ribbonminor.arrow_core import _automorphisms, _base_canonical, _layout
 from oracles import (
     _compositions,
     _words,
@@ -527,11 +527,41 @@ def test_canonicalize_memory_on_long_path():
 
 @pytest.mark.parametrize("connected_only", [True, False])
 def test_base_canonical_matches_search_on_augmentation_candidates(connected_only):
-    # every candidate the enumeration deduplicates on, up to 4 edges: the
-    # rooted construction gives the encoding of the recursive search
+    # every candidate the enumeration deduplicates on, up to 4 edges, and
+    # with connected_only false every augmentation of a disconnected class
+    # too: the rooted construction gives the encoding of the recursive search
     for g in enumerate_presentations(EnumerationSpec(3, connected_only=connected_only)):
         for circles in augmentations(g.circles):
             assert _base_canonical(circles) == search_base_canonical(circles), circles
+
+
+def _assembled_inputs():
+    """(empty circles, parts, circles): every class and pair of classes of
+    the connected classes of at most 3 edges and every triple of those of
+    at most 2, repeats included, with 0-2 empty circles; the parts
+    relabelled apart, their circles and the empty ones concatenated and
+    shuffled."""
+    import random
+    from itertools import combinations_with_replacement
+
+    rng = random.Random(0)
+    small = enumerate_presentations(EnumerationSpec(3))
+    multisets = [(g,) for g in small] + list(combinations_with_replacement(small, 2))
+    multisets += combinations_with_replacement([g for g in small if g.n_edges <= 2], 3)
+    for i, parts in enumerate(multisets):
+        k = i % 3
+        circles = [()] * k + [tuple((f"{lab}{j}", s) for lab, s in c) for j, g in enumerate(parts) for c in g.circles]
+        rng.shuffle(circles)
+        yield k, parts, tuple(circles)
+
+
+def test_layout_of_parts_is_the_minimal_encoding():
+    # the encoding the disconnected classes are assembled with is the one
+    # the canonical form and the recursive search find on the whole
+    for k, parts, circles in _assembled_inputs():
+        laid = _layout(k, [_base_canonical(g.circles) for g in parts])
+        assert _base_canonical(circles) == laid, circles
+        assert search_base_canonical(circles) == laid, circles
 
 
 def _random_circles(seed: int) -> tuple:

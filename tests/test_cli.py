@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import os
 import tempfile
@@ -170,6 +171,15 @@ def test_help_reads_the_move_and_family_tables():
     assert " | ".join(f.value for f in MinorFamily) in minor
 
 
+def test_bound_flags_have_help():
+    # every option of verify and enumerate has a help text, and the circle
+    # bound's help names its default
+    for cmd in ("verify", "enumerate"):
+        actions = build_parser()._subparsers._group_actions[0].choices[cmd]._actions
+        assert all(a.help for a in actions)
+        assert "(default: max-edges + 1)" in next(a.help for a in actions if a.dest == "max_circles")
+
+
 def test_parser_is_reused_and_unchanged_by_use(capsys):
     # main builds the parser once per process; a second call, and a call
     # after failed ones, read the same parser to the same output
@@ -193,6 +203,25 @@ def test_enumerate_one_edge(capsys):
     assert main(["enumerate", "--max-edges", "1", "--max-circles", "2"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines == ["(a+ a+)", "(a+ a-)", "(a+)(a+)"]
+
+
+# the arguments of the `enumerate` run whose stdout each line of
+# tests/enumerate_e4.sha256 records, by the file name on that line
+_ENUMERATE_PINS = {
+    "enumerate-e4.out": ["--max-edges", "4"],
+    "enumerate-e4-disconnected.out": ["--max-edges", "4", "--include-disconnected"],
+}
+
+
+def test_enumerate_stdout_matches_four_edge_pins(capsys):
+    # the 591 connected classes of at most 4 edges, and the 3,406 classes
+    # with disconnected ones, byte for byte as the CI's cold runs check them
+    with open(os.path.join(os.path.dirname(__file__), "enumerate_e4.sha256"), encoding="ascii") as fh:
+        pins = {name: digest for digest, name in map(str.split, fh)}
+    assert pins.keys() == _ENUMERATE_PINS.keys()
+    for name, args in _ENUMERATE_PINS.items():
+        assert main(["enumerate", *args]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == pins[name], name
 
 
 def test_stdin_input(monkeypatch, capsys):

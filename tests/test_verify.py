@@ -164,16 +164,22 @@ def test_orbit_pruned_augmentations_keep_one_per_orbit():
         rooted = [_rooted_at_new_edge(c) for c in kept]
         assert len(set(rooted)) == len(rooted), g
         assert set(rooted) == set(map(_rooted_at_new_edge, every)), g
-    # with no maps (the empty first circle, disconnected parents) every
-    # augmentation is kept, in the oracle's order
+    # with no maps, as for the lone empty circle (the first level's
+    # parent), every augmentation is kept, in the oracle's order
+    assert _automorphisms(((),)) == []
     for g in enumerate_presentations(EnumerationSpec(2, 4, False)):
         assert list(_augmentations(g.circles, ())) == list(augmentations(g.circles))
 
 
-@pytest.mark.parametrize("spec, calls", [((3, 4), 144), ((4, 2), 1317), ((4, 5), 1695)])
+@pytest.mark.parametrize("spec, calls", [
+    ((3, 4), 144), ((4, 2), 1317), ((4, 5), 1695), ((3, 4, False), 144), ((4, 5, False), 1695),
+])
 def test_enumeration_canonicalises_one_candidate_per_orbit(monkeypatch, spec, calls):
     # the minimal encodings the enumeration computes on candidates; with
-    # every augmentation kept they were 291, 2,547 and 3,315
+    # every augmentation kept they were 291, 2,547 and 3,315.  The
+    # disconnected classes are assembled from the connected ones'
+    # encodings, so they take no more (augmented with no maps from k empty
+    # circles, they took 2,110 and 30,546)
     counted = []
 
     def base_canonical(circles):
